@@ -1,8 +1,6 @@
 """Command-line harness: run, rate-sweep, burn-in, verify, concentration.
 
 Exit codes: 0 success, 1 invariant/check failure, 2 configuration error.
-Thread count for seed batches comes from the TAILOPT_THREADS environment
-variable only.
 """
 
 from __future__ import annotations
@@ -10,8 +8,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
+from tailopt.analysis import fit_rate_exponent
 from tailopt.harness import (ConfigError, RunConfig, burn_in_compare,
                              check_trajectory_invariants, rate_sweep, run)
 from tailopt.verify import coverage_report, run_verification_suite
@@ -40,14 +39,9 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for name in ("algorithm", "problem", "dim", "q", "p_moment", "tail_index",
-                 "noise_scale", "T", "b", "s", "delta", "seed", "seeds",
-                 "warmup", "warmup_steps", "order", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
-    cfg.validate()
-    return cfg
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    return replace(cfg, **flags).validate()
 
 
 def _cmd_run(args) -> int:
@@ -68,9 +62,19 @@ def _cmd_run(args) -> int:
     return 1 if failures else 0
 
 
+def _parse_grid(text: str) -> list[int]:
+    """--T-grid as horizons, checked against the rate fit's domain up front."""
+    try:
+        grid = [int(t) for t in text.split(",")]
+        fit_rate_exponent(grid, [1.0] * len(grid))
+    except ValueError as exc:
+        raise ConfigError(f"T-grid: {exc}") from exc
+    return grid
+
+
 def _cmd_rate_sweep(args) -> int:
     cfg = _build_config(args)
-    grid = [int(t) for t in args.T_grid.split(",")]
+    grid = _parse_grid(args.T_grid)
     result = rate_sweep(cfg, grid, n_seeds=args.seeds or cfg.seeds)
     print("T,avg_grad_norm,min_grad_norm")
     for row in result.rows():

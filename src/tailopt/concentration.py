@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
+from tailopt.problems import pareto_moment, pareto_radii
 from tailopt.spaces import NormedSpace
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "coverage_test",
     "binomial_interval",
     "clipped_pareto_second_moment",
-    "pareto_moment",
     "freedman_scalar_coverage",
     "freedman_vector_coverage",
     "truncated_sum_coverage",
@@ -125,6 +125,33 @@ def _check_delta(delta: float):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _prefix_totals(values) -> np.ndarray:
+    """Running sums of ``values``; an empty sequence has the one total 0."""
+    values = np.asarray(values, dtype=float)
+    return np.cumsum(values) if values.size else np.zeros(1)
+
+
+def _scalar_prefix_bounds(bound_as, variances, delta) -> np.ndarray:
+    log_term = math.log(1.0 / delta)
+    cum = _prefix_totals(variances)
+    return 2.0 * bound_as * log_term / 3.0 + np.sqrt(2.0 * cum * log_term)
+
+
+def _hilbert_prefix_bounds(bound_as, sigmas, delta) -> np.ndarray:
+    log_term = max(1.0, math.log(1.0 / delta))
+    cum = _prefix_totals(np.asarray(sigmas, dtype=float) ** 2)
+    return 3.0 * bound_as * log_term + 3.0 * np.sqrt(cum * log_term)
+
+
+def _banach_prefix_bounds(bound_as, sigmas, delta, smooth_constant,
+                          smooth_power=2.0) -> np.ndarray:
+    log_term = max(1.0, math.log(3.0 / delta))
+    p = smooth_power
+    cum = _prefix_totals(np.asarray(sigmas, dtype=float) ** p)
+    return (5.0 * smooth_constant * bound_as * log_term
+            + 4.0 * (smooth_constant * cum) ** (1.0 / p) * math.sqrt(log_term))
+
+
 def freedman_scalar_bound(bound_as: float, variances, delta: float) -> float:
     """One-dimensional martingale bound, valid uniformly over prefixes.
 
@@ -133,15 +160,7 @@ def freedman_scalar_bound(bound_as: float, variances, delta: float) -> float:
     sum stays below 2 R log(1/delta) / 3 + sqrt(2 sum sigma^2 log(1/delta)).
     """
     _check_delta(delta)
-    log_term = math.log(1.0 / delta)
-    total = float(np.sum(np.asarray(variances, dtype=float)))
-    return 2.0 * bound_as * log_term / 3.0 + math.sqrt(2.0 * total * log_term)
-
-
-def _freedman_scalar_prefix(bound_as, variances, delta):
-    log_term = math.log(1.0 / delta)
-    cum = np.cumsum(np.asarray(variances, dtype=float))
-    return 2.0 * bound_as * log_term / 3.0 + np.sqrt(2.0 * cum * log_term)
+    return float(_scalar_prefix_bounds(bound_as, variances, delta)[-1])
 
 
 def freedman_hilbert_bound(bound_as: float, sigmas, delta: float) -> float:
@@ -152,15 +171,7 @@ def freedman_hilbert_bound(bound_as: float, sigmas, delta: float) -> float:
     accounting of the per-invocation delta.
     """
     _check_delta(delta)
-    log_term = max(1.0, math.log(1.0 / delta))
-    total = float(np.sum(np.asarray(sigmas, dtype=float) ** 2))
-    return 3.0 * bound_as * log_term + 3.0 * math.sqrt(total * log_term)
-
-
-def _freedman_hilbert_prefix(bound_as, sigmas, delta):
-    log_term = max(1.0, math.log(1.0 / delta))
-    cum = np.cumsum(np.asarray(sigmas, dtype=float) ** 2)
-    return 3.0 * bound_as * log_term + 3.0 * np.sqrt(cum * log_term)
+    return float(_hilbert_prefix_bounds(bound_as, sigmas, delta)[-1])
 
 
 def freedman_banach_bound(bound_as: float, sigmas, delta: float,
@@ -176,19 +187,8 @@ def freedman_banach_bound(bound_as: float, sigmas, delta: float,
         raise ValueError(f"smooth constant must be >= 1, got {smooth_constant}")
     if not (1.0 < smooth_power <= 2.0):
         raise ValueError(f"smooth power must lie in (1, 2], got {smooth_power}")
-    log_term = max(1.0, math.log(3.0 / delta))
-    p = smooth_power
-    total = float(np.sum(np.asarray(sigmas, dtype=float) ** p))
-    return (5.0 * smooth_constant * bound_as * log_term
-            + 4.0 * (smooth_constant * total) ** (1.0 / p) * math.sqrt(log_term))
-
-
-def _freedman_banach_prefix(bound_as, sigmas, delta, smooth_constant, smooth_power=2.0):
-    log_term = max(1.0, math.log(3.0 / delta))
-    p = smooth_power
-    cum = np.cumsum(np.asarray(sigmas, dtype=float) ** p)
-    return (5.0 * smooth_constant * bound_as * log_term
-            + 4.0 * (smooth_constant * cum) ** (1.0 / p) * math.sqrt(log_term))
+    return float(_banach_prefix_bounds(bound_as, sigmas, delta, smooth_constant,
+                                       smooth_power)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +363,6 @@ def coverage_test(trial_fn, trials: int, rng: np.random.Generator) -> CoverageRe
     return CoverageResult.from_counts(successes, trials)
 
 
-def pareto_moment(tail_index: float, scale: float, order: float) -> float:
-    """E R^order for R ~ Pareto(tail_index, scale), order < tail_index."""
-    if order >= tail_index:
-        raise ValueError("moment order must be below the tail index")
-    return tail_index * scale ** order / (tail_index - order)
-
-
 def clipped_pareto_second_moment(tail_index: float, scale: float, clip: float) -> float:
     """E[min(R, clip)^2] for R ~ Pareto(tail_index, scale), clip >= scale."""
     a, x_m = tail_index, scale
@@ -382,14 +375,19 @@ def clipped_pareto_second_moment(tail_index: float, scale: float, clip: float) -
     return body + tail
 
 
-def _pareto_radii(rng, shape, tail_index, scale):
-    return scale * (1.0 - rng.random(shape)) ** (-1.0 / tail_index)
-
-
-def _unit_dual_directions(rng, shape, space):
+def _clipped_pareto_vectors(rng, shape, tail_index, clip, space):
+    """min(R, clip) times a Gaussian direction of unit dual norm, R ~ Pareto."""
+    radii = np.minimum(pareto_radii(rng, shape, tail_index), clip)
     u = rng.standard_normal(shape + (space.dim,))
     norms = np.asarray(space.dual_norm(u))[..., np.newaxis]
-    return u / np.where(norms > 0.0, norms, 1.0)
+    return radii[..., np.newaxis] * (u / np.where(norms > 0.0, norms, 1.0))
+
+
+def _batched_coverage(trials: int, batch: int, covered) -> CoverageResult:
+    """``covered(n)`` draws n streams and flags those the bound covered."""
+    successes = sum(int(np.sum(covered(min(batch, trials - start))))
+                    for start in range(0, trials, batch))
+    return CoverageResult.from_counts(successes, trials)
 
 
 def freedman_scalar_coverage(trials: int, length: int, delta: float,
@@ -397,7 +395,7 @@ def freedman_scalar_coverage(trials: int, length: int, delta: float,
     """Coin-flip streams (R = 1, sigma_t = 1), uniform over prefixes."""
     flips = rng.integers(0, 2, size=(trials, length)) * 2.0 - 1.0
     prefix = np.cumsum(flips, axis=1)
-    bounds = _freedman_scalar_prefix(1.0, np.ones(length), delta)
+    bounds = _scalar_prefix_bounds(1.0, np.ones(length), delta)
     ok = np.all(prefix <= bounds[np.newaxis, :], axis=1)
     return CoverageResult.from_counts(int(np.sum(ok)), trials)
 
@@ -421,23 +419,17 @@ def freedman_vector_coverage(variant: str, trials: int, length: int, delta: floa
     sigma = math.sqrt(clipped_pareto_second_moment(tail_index, 1.0, clip))
     sigmas = np.full(length, sigma)
     if variant == "hilbert":
-        bounds = _freedman_hilbert_prefix(clip, sigmas, delta)
+        bounds = _hilbert_prefix_bounds(clip, sigmas, delta)
     else:
-        bounds = _freedman_banach_prefix(clip, sigmas, delta,
-                                         space.smooth_constant, space.smooth_power)
-    successes = 0
-    done = 0
-    while done < trials:
-        n = min(batch, trials - done)
-        radii = np.minimum(_pareto_radii(rng, (n, length), tail_index, 1.0), clip)
-        dirs = _unit_dual_directions(rng, (n, length), space)
-        increments = radii[..., np.newaxis] * dirs
-        prefix = np.cumsum(increments, axis=1)
-        norms = np.asarray(space.dual_norm(prefix))
-        ok = np.all(norms <= bounds[np.newaxis, :], axis=1)
-        successes += int(np.sum(ok))
-        done += n
-    return CoverageResult.from_counts(successes, trials)
+        bounds = _banach_prefix_bounds(clip, sigmas, delta,
+                                       space.smooth_constant, space.smooth_power)
+
+    def covered(n):
+        xs = _clipped_pareto_vectors(rng, (n, length), tail_index, clip, space)
+        norms = np.asarray(space.dual_norm(np.cumsum(xs, axis=1)))
+        return np.all(norms <= bounds[np.newaxis, :], axis=1)
+
+    return _batched_coverage(trials, batch, covered)
 
 
 def truncated_sum_coverage(variant: str, trials: int, length: int, delta: float,
@@ -455,39 +447,20 @@ def truncated_sum_coverage(variant: str, trials: int, length: int, delta: float,
     g_p = pareto_moment(tail_index, 1.0, p_moment)  # E ||X||^p
     g = g_p ** (1.0 / p_moment)
     tau = g * length ** (1.0 / p_moment)
-    if variant == "hilbert":
-        spec = WeightedStreamSpec(weights=np.ones(length),
-                                  moment_bounds=np.full(length, g),
-                                  threshold=tau, p_moment=p_moment, delta=delta)
-        bound = truncated_sum_bound(spec, "hilbert")
-        mu = tail_index / (tail_index - 1.0)  # Pareto mean, scale 1
-        successes = 0
-        done = 0
-        while done < trials:
-            n = min(batch, trials - done)
-            x = _pareto_radii(rng, (n, length), tail_index, 1.0)
-            clipped = np.minimum(x, tau)
-            dev = np.abs(np.sum(clipped - mu, axis=1))
-            successes += int(np.sum(dev <= bound))
-            done += n
-        return CoverageResult.from_counts(successes, trials)
-    if variant == "banach":
-        space = NormedSpace(dim=dim, primal_exponent=1.5)
-        spec = WeightedStreamSpec(weights=np.ones(length),
-                                  moment_bounds=np.full(length, g),
-                                  threshold=tau, p_moment=p_moment, delta=delta,
-                                  smooth_power=space.smooth_power,
-                                  smooth_constant=space.smooth_constant)
-        bound = truncated_sum_bound(spec, "banach")
-        successes = 0
-        done = 0
-        while done < trials:
-            n = min(batch, trials - done)
-            radii = np.minimum(_pareto_radii(rng, (n, length), tail_index, 1.0), tau)
-            dirs = _unit_dual_directions(rng, (n, length), space)
-            total = np.sum(radii[..., np.newaxis] * dirs, axis=1)
-            dev = np.asarray(space.dual_norm(total))
-            successes += int(np.sum(dev <= bound))
-            done += n
-        return CoverageResult.from_counts(successes, trials)
-    raise ValueError(f"unknown variant {variant!r}")
+    space = NormedSpace(dim=dim, primal_exponent=1.5)
+    spec = WeightedStreamSpec(weights=np.ones(length),
+                              moment_bounds=np.full(length, g),
+                              threshold=tau, p_moment=p_moment, delta=delta,
+                              smooth_power=space.smooth_power,
+                              smooth_constant=space.smooth_constant)
+    bound = truncated_sum_bound(spec, variant)
+    mu = tail_index / (tail_index - 1.0)  # Pareto mean, scale 1
+
+    def covered(n):
+        if variant == "hilbert":
+            clipped = np.minimum(pareto_radii(rng, (n, length), tail_index), tau)
+            return np.abs(np.sum(clipped - mu, axis=1)) <= bound
+        xs = _clipped_pareto_vectors(rng, (n, length), tail_index, tau, space)
+        return np.asarray(space.dual_norm(np.sum(xs, axis=1))) <= bound
+
+    return _batched_coverage(trials, batch, covered)

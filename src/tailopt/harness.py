@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,f,grad_norm,m_norm,eps_hat,eps,clipped,eta"
-
-THREADS_ENV = "TAILOPT_THREADS"
 
 
 class ConfigError(ValueError):
@@ -96,12 +94,21 @@ class RunConfig:
     }
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.algorithm not in ("nsgd", "nigt"):
             raise ConfigError(f"algorithm: expected nsgd or nigt, got {self.algorithm!r}")
         if self.problem not in ("cosine_sum", "quadratic"):
             raise ConfigError(f"problem: expected cosine_sum or quadratic, got {self.problem!r}")
         if self.dim < 1:
             raise ConfigError(f"dim: must be positive, got {self.dim}")
+        if self.amplitude <= 0:
+            raise ConfigError(f"amplitude: must be positive, got {self.amplitude}")
+        if not (0 < self.eig_min <= self.eig_max):
+            raise ConfigError(
+                f"eig_min: must lie in (0, eig_max={self.eig_max}], got {self.eig_min}")
         if not (1.0 < self.q <= 2.0):
             raise ConfigError(f"q: primal exponent must lie in (1, 2], got {self.q}")
         if not (1.0 < self.p_moment <= 2.0):
@@ -117,6 +124,8 @@ class RunConfig:
             raise ConfigError(f"b, s: schedule constants must be positive, got {self.b}, {self.s}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta: must lie in (0, 1), got {self.delta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
         if self.seeds < 1:
             raise ConfigError(f"seeds: must be at least 1, got {self.seeds}")
         if self.warmup not in ("none", "hold"):
@@ -145,14 +154,14 @@ class RunConfig:
         if not read:
             raise ConfigError(f"config file not found: {path}")
         cfg = cls()
-        types = {f.name: f.type for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
         for section, names in cls._SECTIONS.items():
             if not parser.has_section(section):
                 continue
             for key, raw in parser.items(section):
                 if key not in names:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                setattr(cfg, key, _parse_field(key, raw, types[key]))
+                setattr(cfg, key, _parse_field(key, raw, defaults[key]))
         return cfg
 
     def to_ini(self) -> str:
@@ -168,20 +177,17 @@ class RunConfig:
         return buf.getvalue()
 
 
-def _parse_field(key: str, raw: str, typ) -> object:
+def _parse_field(key: str, raw: str, default) -> object:
+    """Parse ``raw`` as the type of the field's default; a None default
+    (warmup_steps) is an optional int, and an empty value leaves it None."""
     raw = raw.strip()
-    if raw == "":
-        return None if key == "warmup_steps" else ""
+    if default is None and raw == "":
+        return None
+    parse = int if default is None else type(default)
     try:
-        if typ in (int, "int"):
-            return int(raw)
-        if typ in (float, "float"):
-            return float(raw)
-        if "int" in str(typ) and "None" in str(typ):
-            return int(raw)
+        return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
-    return raw
 
 
 @dataclass
@@ -360,6 +366,12 @@ def check_trajectory_invariants(traj: Trajectory, hp: HyperParams | None = None,
             "tau_consistency": bool(ok_tau)}
 
 
+def _non_descent(traj: Trajectory, tol: float = 1e-9) -> np.ndarray:
+    """Per step t: F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + tol."""
+    f_next = np.append(traj.objective[1:], traj.final_f)
+    return f_next >= traj.objective - 0.5 * traj.lr * traj.m_norm + tol
+
+
 def descent_check(traj: Trajectory, cert: BurnInCertificate | None = None,
                   tol: float = 1e-9) -> tuple[int, int]:
     """(qualifying steps, violations) of the certified-descent condition.
@@ -368,14 +380,9 @@ def descent_check(traj: Trajectory, cert: BurnInCertificate | None = None,
     threshold; it violates when F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + tol.
     """
     cert = cert or traj.cert
-    T = traj.horizon
-    f_next = np.empty(T)
-    f_next[:-1] = traj.objective[1:]
-    f_next[-1] = traj.final_f
     qualify = (traj.steps >= max(cert.burn_in, 1)) & \
               (traj.m_norm >= cert.momentum_threshold)
-    viol = f_next >= traj.objective - 0.5 * traj.lr * traj.m_norm + tol
-    return int(np.sum(qualify)), int(np.sum(qualify & viol))
+    return int(np.sum(qualify)), int(np.sum(qualify & _non_descent(traj, tol)))
 
 
 def eps_hat_check(traj: Trajectory, cert: BurnInCertificate | None = None) -> int:
@@ -394,18 +401,6 @@ def last_iterate_check(traj: Trajectory, cert: BurnInCertificate | None = None,
                      (traj.m_norm < cert.momentum_threshold))[0]
     t_hat = int(traj.steps[idx[-1]]) if idx.size else start
     return bool(traj.objective[-1] <= traj.objective[t_hat - 1] + tol)
-
-
-def raw_descent_violations(traj: Trajectory, start_step: int, tol: float = 1e-9) -> int:
-    """Count of steps t >= start_step where the objective failed to descend
-    by (lr_t/2)||m_t||, regardless of the momentum threshold."""
-    T = traj.horizon
-    f_next = np.empty(T)
-    f_next[:-1] = traj.objective[1:]
-    f_next[-1] = traj.final_f
-    idx = traj.steps >= max(start_step, 1)
-    viol = f_next >= traj.objective - 0.5 * traj.lr * traj.m_norm + tol
-    return int(np.sum(idx & viol))
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +456,6 @@ def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
     }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_seeds(exp: Experiment, seeds: list[int]) -> list[Trajectory]:
-    workers = _thread_count()
-    if workers == 1 or len(seeds) == 1:
-        return [run_trajectory(exp, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: run_trajectory(exp, s), seeds))
-
-
 def run(config: RunConfig, out_dir: str | None = None,
         plots: bool = False) -> list[Trajectory]:
     """Run the configured experiment over its seed batch, writing artifacts.
@@ -486,8 +465,8 @@ def run(config: RunConfig, out_dir: str | None = None,
     Outputs are byte-stable for a fixed (config, seed).
     """
     exp = build_experiment(config)
-    seeds = [config.seed + i for i in range(config.seeds)]
-    trajectories = _run_seeds(exp, seeds)
+    trajectories = [run_trajectory(exp, config.seed + i)
+                    for i in range(config.seeds)]
     out = out_dir if out_dir is not None else (config.out or None)
     if out:
         os.makedirs(out, exist_ok=True)
@@ -541,7 +520,7 @@ def rate_sweep(config: RunConfig, horizons, n_seeds: int | None = None) -> RateS
     avg_rows, min_rows = [], []
     for T in horizons:
         exp = build_experiment(config, horizon=T)
-        trajs = _run_seeds(exp, [config.seed + i for i in range(n_seeds)])
+        trajs = [run_trajectory(exp, config.seed + i) for i in range(n_seeds)]
         avg_rows.append(float(np.mean([t.grad_norm.mean() for t in trajs])))
         min_rows.append(float(np.mean([t.grad_norm.min() for t in trajs])))
     slope, stderr = fit_rate_exponent(horizons, avg_rows)
@@ -591,11 +570,11 @@ def burn_in_compare(config: RunConfig, n_seeds: int | None = None) -> BurnInComp
         exp = build_experiment(cfg)
         burn_in = exp.cert.burn_in if cfg.warmup_steps is None else \
             min(cfg.warmup_steps, exp.hp.horizon)
-        trajs = _run_seeds(exp, seeds)
+        trajs = [run_trajectory(exp, s) for s in seeds]
         final_f[mode] = np.array([t.final_f for t in trajs])
         min_grad[mode] = np.array([t.grad_norm.min() for t in trajs])
         violations[mode] = np.array(
-            [raw_descent_violations(t, burn_in + 1) for t in trajs])
+            [np.sum((t.steps > burn_in) & _non_descent(t)) for t in trajs])
     return BurnInCompareResult(burn_in=burn_in, final_f=final_f,
                                min_grad=min_grad,
                                post_burn_in_violations=violations)

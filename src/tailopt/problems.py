@@ -33,6 +33,8 @@ __all__ = [
     "HeavyTailNoise",
     "calibrate_grad_bound",
     "make_problem",
+    "pareto_moment",
+    "pareto_radii",
 ]
 
 
@@ -145,6 +147,20 @@ def make_problem(kind: str, dim: int, *, amplitude: float = 1.0,
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
+def pareto_moment(tail_index: float, scale: float, order: float) -> float:
+    """E[R^order] = a * scale^order / (a - order), R ~ Pareto(a, scale), order < a."""
+    if order >= tail_index:
+        raise ValueError(f"moment of order {order} diverges at tail index {tail_index}")
+    return tail_index * scale ** order / (tail_index - order)
+
+
+def pareto_radii(rng: np.random.Generator, shape, tail_index: float,
+                 scale: float = 1.0) -> np.ndarray:
+    """Pareto(tail_index, scale) radii of the given shape, by inversion."""
+    # 1 - U lies in (0, 1], avoiding a zero base for the negative power
+    return scale * (1.0 - rng.random(shape)) ** (-1.0 / tail_index)
+
+
 @dataclass
 class HeavyTailNoise:
     """Additive dual-space noise with a symmetric Pareto radius.
@@ -176,14 +192,11 @@ class HeavyTailNoise:
             raise ValueError("scale must be nonnegative")
 
     def radius_moment(self, order: float) -> float:
-        """Closed-form E[R^order] = a * scale^order / (a - order), order < a."""
-        if order >= self.tail_index:
-            raise ValueError(f"moment of order {order} diverges at tail index {self.tail_index}")
-        return self.tail_index * self.scale ** order / (self.tail_index - order)
+        """Closed-form E[R^order], order < tail_index."""
+        return pareto_moment(self.tail_index, self.scale, order)
 
     def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # 1 - U lies in (0, 1], avoiding a zero base for the negative power
-        return self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.tail_index)
+        return pareto_radii(rng, n, self.tail_index, self.scale)
 
     def sample(self, problem, space: NormedSpace, w, rng: np.random.Generator,
                grad: np.ndarray | None = None) -> np.ndarray:
@@ -195,6 +208,7 @@ class HeavyTailNoise:
         if grad is None:
             grad = problem.gradient(w)
         u = rng.standard_normal(space.dim)
+        # pareto_radii for one scalar, inline: this runs once per step
         radius = self.scale * (1.0 - rng.random()) ** (-1.0 / self.tail_index)
         if self.scale == 0.0:
             return grad.copy()

@@ -195,6 +195,26 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "T" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, ini, field", [
+    (["run", "--seed", "-1"], None, "seed"),
+    (["rate-sweep", "--T-grid", "1000,x"], None, "T-grid"),
+    (["rate-sweep", "--T-grid", "100,200,300"], None, "T-grid"),
+    (["run"], "[problem]\namplitude = -1\n", "amplitude"),
+    (["run"], "[problem]\neig_min = 0\n", "eig_min"),
+    (["run"], "[problem]\neig_min = 3.0\n", "eig_min"),
+    (["run"], "[noise]\nsafety = nan\n", "safety"),
+    (["run"], "[problem]\nstart_value = nan\n", "start_value"),
+    (["run"], "[run]\nT =\n", "T"),
+])
+def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, ini, field):
+    if ini is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
 def test_cli_concentration_report(tmp_path, capsys):
     out = str(tmp_path / "conc")
     code = cli.main(["concentration", "--trials", "1000", "--length", "30",
@@ -233,15 +253,16 @@ def test_records_immutable_after_run():
         traj.m_norm[:] = 0.0
 
 
-def test_thread_env_var_matches_serial(monkeypatch, tmp_path):
+def test_run_matches_run_trajectory_seed_for_seed():
     cfg = small_config(seeds=3, T=150)
-    serial = run(cfg)
-    monkeypatch.setenv("TAILOPT_THREADS", "3")
-    threaded = run(cfg)
-    for a, b in zip(serial, threaded):
-        assert a.seed == b.seed
-        np.testing.assert_array_equal(a.objective, b.objective)
-        np.testing.assert_array_equal(a.final_w, b.final_w)
+    exp = build_experiment(cfg)
+    trajs = run(cfg)
+    assert [t.seed for t in trajs] == [3, 4, 5]
+    for traj in trajs:
+        ref = run_trajectory(exp, traj.seed)
+        for name in ("objective", "grad_norm", "m_norm", "eps_hat", "eps",
+                     "clipped", "lr", "final_w"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
 
 
 def test_empty_config_sections_get_defaults(tmp_path):
