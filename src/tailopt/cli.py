@@ -124,8 +124,14 @@ def _cmd_burn_in(args) -> int:
     return 0
 
 
+def _check_seed_delta(args):
+    """--seed and --delta by the rules a run config applies to them."""
+    RunConfig(seed=args.seed, delta=args.delta).validate()
+
+
 def _cmd_verify(args) -> int:
-    results = run_verification_suite(seed=args.seed or 0, delta=args.delta or 0.1)
+    _check_seed_delta(args)
+    results = run_verification_suite(seed=args.seed, delta=args.delta)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -147,8 +153,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    rows = coverage_report(args.trials, args.length, args.delta or 0.1,
-                           seed=args.seed or 0)
+    for flag in ("trials", "length"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
+    _check_seed_delta(args)
+    rows = coverage_report(args.trials, args.length, args.delta, seed=args.seed)
     header = "lemma,delta,trials,coverage,ci_low,ci_high,pass"
     print(header)
     lines = [header]

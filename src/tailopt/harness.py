@@ -190,9 +190,13 @@ def _parse_field(key: str, raw: str, default) -> object:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class Experiment:
-    """A resolved configuration: problem, noise, space, schedule, certificate."""
+    """A resolved configuration: problem, noise, space, schedule, certificate.
+
+    Frozen, and ``lr_seq`` is read-only: fault injection builds a modified
+    copy with ``dataclasses.replace``.
+    """
 
     config: RunConfig
     problem: object
@@ -234,6 +238,7 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
         lr_seq = warmup_lr_schedule(hp, hold, "hold")
     else:
         lr_seq = warmup_lr_schedule(hp, cert, config.warmup)
+    lr_seq.flags.writeable = False
     return Experiment(config=config, problem=problem, noise=noise, space=space,
                       hp=hp, cert=cert, lr_seq=lr_seq)
 
@@ -281,56 +286,72 @@ class Trajectory:
         }
 
 
+# steps per block of recorded rows: the diagnostics of a block are computed
+# together, and the buffers stay small next to whole-horizon arrays
+_BLOCK = 1024
+
+
 def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
-    """Execute one seeded trajectory of the configured algorithm."""
+    """Execute one seeded trajectory of the configured algorithm.
+
+    The step loop runs only the dynamics (the oracle draw and the momentum
+    step).  Diagnostics are recorded block-wise: each step stores w_t, m_t,
+    the clipped sample and the query point in buffers of ``_BLOCK`` rows,
+    and once per block the objective, gradient norm, momentum norm and
+    error, sample error, step length and iterate norm are each computed by
+    one batched call.  A batch row gets the bits of the single-vector call
+    (see ``spaces``), so the values equal those of per-step evaluation.
+    """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     T = hp.horizon
     rng = np.random.default_rng(seed)
     state = init_state(problem.start)
-    objective = np.empty(T)
-    grad_norm = np.empty(T)
-    m_norm = np.empty(T)
-    eps_hat = np.empty(T)
-    eps = np.empty(T)
+    (objective, grad_norm, m_norm, eps_hat, eps, clip_norm, sample_norm,
+     step_len, w_norm) = (np.empty(T) for _ in range(9))
     clipped = np.zeros(T, dtype=np.uint8)
-    clip_norm = np.empty(T)
-    sample_norm = np.empty(T)
-    step_len = np.empty(T)
-    w_norm = np.empty(T)
     nigt = exp.config.algorithm == "nigt"
     oracle = lambda x: noise.sample(problem, space, x, rng)
-    for t in range(T):
-        w_t = state.w
-        grad_t = problem.gradient(w_t)
-        objective[t] = problem.value(w_t)
-        grad_norm[t] = space.dual_norm(grad_t)
-        lr_t = exp.lr_seq[t]
-        if nigt:
-            state, info = extrapolated_step(state, oracle, hp, space, lr=lr_t)
-            query_grad = problem.gradient(info.query)
-        else:
-            g = noise.sample(problem, space, w_t, rng, grad=grad_t)
-            state, info = clipped_momentum_step(state, g, hp, space, lr=lr_t)
-            query_grad = grad_t
-        m_norm[t] = space.dual_norm(state.m)
-        eps_hat[t] = space.dual_norm(state.m - grad_t)
-        eps[t] = space.dual_norm(info.g_clip - query_grad)
-        clipped[t] = info.clipped
-        clip_norm[t] = info.clip_norm
-        sample_norm[t] = info.sample_norm
-        step_len[t] = space.primal_norm(state.w - state.w_prev)
-        w_norm[t] = space.primal_norm(w_t)
+    lrs = exp.lr_seq.tolist()
+    rows = min(_BLOCK, T)
+    w_buf = np.empty((rows + 1, space.dim))  # w_t per row, then the next iterate
+    m_buf, g_buf, q_buf = (np.empty((rows, space.dim)) for _ in range(3))
+    for start in range(0, T, rows):
+        n = min(rows, T - start)
+        for i, t in enumerate(range(start, start + n)):
+            w_buf[i] = state.w
+            if nigt:
+                state, info = extrapolated_step(state, oracle, hp, space, lr=lrs[t])
+                q_buf[i] = info.query
+            else:
+                state, info = clipped_momentum_step(state, oracle(state.w), hp,
+                                                    space, lr=lrs[t])
+            m_buf[i] = state.m
+            g_buf[i] = info.g_clip
+            sample_norm[t] = info.sample_norm
+            clip_norm[t] = info.clip_norm
+            clipped[t] = info.clipped
+        w_buf[n] = state.w
+        block, w, m = slice(start, start + n), w_buf[:n], m_buf[:n]
+        grad = problem.gradient(w)
+        query_grad = problem.gradient(q_buf[:n]) if nigt else grad
+        objective[block] = problem.value(w)
+        grad_norm[block] = space.dual_norm(grad)
+        m_norm[block] = space.dual_norm(m)
+        eps_hat[block] = space.dual_norm(m - grad)
+        eps[block] = space.dual_norm(g_buf[:n] - query_grad)
+        step_len[block] = space.primal_norm(w_buf[1:n + 1] - w)
+        w_norm[block] = space.primal_norm(w)
     traj = Trajectory(seed=seed, algorithm=exp.config.algorithm, hp=hp,
                       cert=exp.cert, steps=np.arange(1, T + 1),
                       objective=objective, grad_norm=grad_norm, m_norm=m_norm,
                       eps_hat=eps_hat, eps=eps, clipped=clipped,
-                      lr=exp.lr_seq.copy(), clip_norm=clip_norm,
+                      lr=exp.lr_seq, clip_norm=clip_norm,
                       sample_norm=sample_norm, step_len=step_len, w_norm=w_norm,
                       final_w=state.w.copy(), final_f=float(problem.value(state.w)))
     traj.selected_step = recommend_output(m_norm, exp.cert.burn_in)
     for arr in (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
                 traj.eps_hat, traj.eps, traj.clipped, traj.lr, traj.clip_norm,
-                traj.sample_norm, traj.step_len, traj.w_norm):
+                traj.sample_norm, traj.step_len, traj.w_norm, traj.final_w):
         arr.flags.writeable = False
     return traj
 

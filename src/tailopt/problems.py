@@ -198,15 +198,10 @@ class HeavyTailNoise:
     def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return pareto_radii(rng, n, self.tail_index, self.scale)
 
-    def sample(self, problem, space: NormedSpace, w, rng: np.random.Generator,
-               grad: np.ndarray | None = None) -> np.ndarray:
-        """One stochastic gradient at w.  Consumes dim+1 uniform draws.
-
-        ``grad`` may carry a precomputed problem.gradient(w) to skip the
-        re-evaluation; it never changes the random stream.
-        """
-        if grad is None:
-            grad = problem.gradient(w)
+    def sample(self, problem, space: NormedSpace, w,
+               rng: np.random.Generator) -> np.ndarray:
+        """One stochastic gradient at w.  Consumes dim+1 uniform draws."""
+        grad = problem.gradient(w)
         u = rng.standard_normal(space.dim)
         # pareto_radii for one scalar, inline: this runs once per step
         radius = self.scale * (1.0 - rng.random()) ** (-1.0 / self.tail_index)

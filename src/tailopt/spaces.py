@@ -20,6 +20,12 @@ All vector operations accept arrays of shape ``(..., dim)`` and act on
 the last axis, returning scalars for single vectors and arrays for
 batches.  Norms factor out the largest component magnitude before
 exponentiating so heavy-tailed inputs cannot overflow.
+
+Single vectors and batches share one arithmetic path: every row of a
+``(n, dim)`` batch gets bit for bit the norm, and the duality map, that
+the same vector gets on its own, at every exponent.  Recording a
+trajectory's diagnostics block-wise therefore reproduces the per-step
+values exactly.
 """
 
 from __future__ import annotations
@@ -31,28 +37,31 @@ import numpy as np
 
 __all__ = ["NormedSpace"]
 
+_TINY = np.finfo(float).tiny
+
 
 def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
-    """l_p norm along the last axis, max-factored against overflow.
+    """l_p norm along the last axis of a float array, max-factored against
+    overflow.
 
-    The Euclidean case takes a direct sum-of-squares path (identical
-    accumulation order for single vectors and batches) and only falls back
-    to max-factoring if the squares overflow.
+    One arithmetic path for single vectors and batches: the sum and the
+    power act on ``keepdims`` arrays, never on numpy scalars, whose C ``pow``
+    can differ in the last bit from the array ``power`` loop.  The Euclidean
+    case takes a direct sum-of-squares path and only falls back to
+    max-factoring if some sum of squares overflows.
     """
-    v = np.asarray(v, dtype=float)
     if p == 2.0:
-        ss = (v * v).sum(axis=-1)
-        if v.ndim == 1:
-            ss = float(ss)
-            if math.isfinite(ss):
-                return math.sqrt(ss)
-        elif np.isfinite(ss).all():
-            return np.sqrt(ss)
+        ss = np.add.reduce(v * v, axis=-1, keepdims=True)
+        # argmax finds the largest sum of squares, or the first NaN
+        if ss.size == 0 or ss.item(ss.argmax()) < math.inf:
+            out = np.sqrt(ss)[..., 0]
+            return float(out) if out.ndim == 0 else out
     a = np.abs(v)
-    m = a.max(axis=-1, keepdims=True)
-    safe = np.where(m > 0.0, m, 1.0)
-    s = ((a / safe) ** p).sum(axis=-1)
-    out = np.squeeze(safe, axis=-1) * s ** (1.0 / p)
+    # the factor is the largest magnitude, floored at the smallest normal
+    # float so that a zero vector divides by it and gets norm 0
+    safe = np.maximum(np.maximum.reduce(a, axis=-1, keepdims=True), _TINY)
+    s = np.add.reduce((a / safe) ** p, axis=-1, keepdims=True)
+    out = (safe * s ** (1.0 / p))[..., 0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -15,7 +15,7 @@ everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -311,15 +311,11 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
     tiny = RunConfig(T=200, seed=seed, calib_samples=10_000)
     exp_a = build_experiment(tiny)
     hp0 = exp_a.hp
-    from dataclasses import replace as _replace
-    forced = _replace(hp0, alpha=1.0, beta=0.0,
-                      tau=hp0.grad_bound)  # tau = G / 1^(1/p)
-    exp_a.hp = forced
-    t_plain = run_trajectory(exp_a, seed)
-    cfg_b = _replace(tiny, algorithm="nigt", order="first")  # share the schedule
-    exp_b = build_experiment(cfg_b)
-    exp_b.hp = forced
-    t_igt = run_trajectory(exp_b, seed)
+    forced = replace(hp0, alpha=1.0, beta=0.0,
+                     tau=hp0.grad_bound)  # tau = G / 1^(1/p)
+    t_plain = run_trajectory(replace(exp_a, hp=forced), seed)
+    cfg_b = replace(tiny, algorithm="nigt", order="first")  # share the schedule
+    t_igt = run_trajectory(replace(build_experiment(cfg_b), hp=forced), seed)
     equal = (np.array_equal(t_plain.objective, t_igt.objective)
              and np.array_equal(t_plain.m_norm, t_igt.m_norm))
     results.append(CheckResult("nigt_equals_nsgd_at_beta0", 200,

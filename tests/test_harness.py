@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from tailopt import cli
-from tailopt.harness import (CSV_HEADER, ConfigError, RunConfig,
+from tailopt.harness import (_BLOCK, CSV_HEADER, ConfigError, RunConfig,
                              build_experiment, burn_in_compare,
                              check_trajectory_invariants, descent_check,
                              eps_hat_check, last_iterate_check, rate_sweep,
                              run, run_trajectory, write_trajectory_csv)
+from tailopt.optimizers import (clipped_momentum_step, extrapolated_step,
+                                init_state, recommend_output)
 
 
 def small_config(**kw):
@@ -67,15 +69,68 @@ def test_trajectory_invariants_and_selection():
     assert traj.m_norm[traj.selected_step - 1] == traj.m_norm[start - 1:].min()
 
 
+def _per_step_reference(exp, seed):
+    """The trajectory recorded step by step, with single-vector calls."""
+    problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
+    rng = np.random.default_rng(seed)
+    oracle = lambda x: noise.sample(problem, space, x, rng)
+    state = init_state(problem.start)
+    rec = {name: [] for name in ("objective", "grad_norm", "m_norm", "eps_hat",
+                                 "eps", "clipped", "clip_norm", "sample_norm",
+                                 "step_len", "w_norm")}
+    for t in range(hp.horizon):
+        w_t = state.w
+        grad_t = problem.gradient(w_t)
+        if exp.config.algorithm == "nigt":
+            state, info = extrapolated_step(state, oracle, hp, space, lr=exp.lr_seq[t])
+            query_grad = problem.gradient(info.query)
+        else:
+            state, info = clipped_momentum_step(state, oracle(w_t), hp, space,
+                                                lr=exp.lr_seq[t])
+            query_grad = grad_t
+        for name, value in (("objective", problem.value(w_t)),
+                            ("grad_norm", space.dual_norm(grad_t)),
+                            ("m_norm", space.dual_norm(state.m)),
+                            ("eps_hat", space.dual_norm(state.m - grad_t)),
+                            ("eps", space.dual_norm(info.g_clip - query_grad)),
+                            ("clipped", info.clipped),
+                            ("clip_norm", info.clip_norm),
+                            ("sample_norm", info.sample_norm),
+                            ("step_len", space.primal_norm(state.w - w_t)),
+                            ("w_norm", space.primal_norm(w_t))):
+            rec[name].append(value)
+    out = {name: np.array(values) for name, values in rec.items()}
+    out["final_w"] = state.w
+    out["final_f"] = problem.value(state.w)
+    out["selected_step"] = recommend_output(out["m_norm"], exp.cert.burn_in)
+    return out
+
+
+@pytest.mark.parametrize("warmup", ["none", "hold"])
+@pytest.mark.parametrize("q", [2.0, 1.5])
+@pytest.mark.parametrize("algorithm", ["nsgd", "nigt"])
+def test_block_recording_matches_per_step_reference(algorithm, q, warmup):
+    # one full block plus a partial one; b = 20 lowers the threshold enough
+    # that clipping fires on every case
+    cfg = small_config(algorithm=algorithm, q=q, T=_BLOCK + 3, noise_scale=3.0,
+                       b=20.0, warmup=warmup, warmup_steps=200)
+    exp = build_experiment(cfg)
+    traj = run_trajectory(exp, 3)
+    ref = _per_step_reference(exp, 3)
+    assert traj.clipped.any()
+    for name, expect in ref.items():
+        assert np.array_equal(getattr(traj, name), expect), name
+
+
 def test_tau_fault_injection_detected():
     # run with a halved clip threshold; the momentum-ball invariant against
     # the intended hyperparameters still passes, tau-consistency must fail
     cfg = small_config(noise_scale=3.0, T=1000, b=5.0)  # low threshold: clips fire
     exp = build_experiment(cfg)
     hp_intended = exp.hp
-    exp.hp = replace(hp_intended, grad_bound=hp_intended.grad_bound / 2.0,
-                     tau=hp_intended.tau / 2.0)
-    traj = run_trajectory(exp, 3)
+    faulty_hp = replace(hp_intended, grad_bound=hp_intended.grad_bound / 2.0,
+                        tau=hp_intended.tau / 2.0)
+    traj = run_trajectory(replace(exp, hp=faulty_hp), 3)
     assert traj.clipped.any()  # the bug is visible only if clipping fired
     inv = check_trajectory_invariants(traj, hp_intended)
     assert inv["momentum_ball"]
@@ -205,6 +260,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     (["run"], "[noise]\nsafety = nan\n", "safety"),
     (["run"], "[problem]\nstart_value = nan\n", "start_value"),
     (["run"], "[run]\nT =\n", "T"),
+    (["verify", "--seed", "-1"], None, "seed"),
+    (["verify", "--delta", "0"], None, "delta"),
+    (["concentration", "--trials", "0"], None, "trials"),
+    (["concentration", "--delta", "2"], None, "delta"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, ini, field):
     if ini is not None:

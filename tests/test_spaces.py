@@ -170,6 +170,20 @@ def test_dim_mismatch_rejected():
         sp.pairing([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_batch_rows_match_single_vector_calls(p):
+    # one arithmetic path: a batch row gets exactly the bits of the
+    # single-vector call, so block-recorded diagnostics equal per-step ones
+    sp = NormedSpace(dim=10, primal_exponent=p)
+    rng = np.random.default_rng(2024)
+    batch = rng.standard_normal((50, 10)) * rng.lognormal(0, 3, size=(50, 1))
+    batch[0] = 0.0
+    for fn in (sp.dual_norm, sp.primal_norm, sp.duality_map):
+        rows = fn(batch)
+        for row, v in zip(rows, batch):
+            assert np.array_equal(row, fn(v)), (fn.__name__, v)
+
+
 def test_batched_shapes():
     sp = NormedSpace(dim=4, primal_exponent=1.5)
     batch = np.ones((6, 3, 4))
