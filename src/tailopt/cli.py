@@ -13,7 +13,6 @@ from dataclasses import fields, replace
 from tailopt.analysis import fit_rate_exponent
 from tailopt.harness import (ConfigError, RunConfig, burn_in_compare,
                              check_trajectory_invariants, rate_sweep, run)
-from tailopt.verify import coverage_report, run_verification_suite
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -130,6 +129,7 @@ def _check_seed_delta(args):
 
 
 def _cmd_verify(args) -> int:
+    from tailopt.verify import run_verification_suite
     _check_seed_delta(args)
     results = run_verification_suite(seed=args.seed, delta=args.delta)
     width = max(len(r.name) for r in results)
@@ -153,6 +153,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
+    from tailopt.verify import coverage_report
     for flag in ("trials", "length"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from tailopt.problems import pareto_moment, pareto_radii
 from tailopt.spaces import NormedSpace
@@ -322,8 +322,9 @@ def binomial_interval(successes: int, trials: int,
     if trials <= 0 or not (0 <= successes <= trials):
         raise ValueError("invalid binomial counts")
     tail = (1.0 - confidence) / 2.0
-    lo = 0.0 if successes == 0 else float(_beta_dist.ppf(tail, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(_beta_dist.ppf(1.0 - tail, successes + 1, trials - successes))
+    # Beta(a, b) quantile q as the inverse regularized incomplete beta
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, tail))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
     return lo, hi
 
 

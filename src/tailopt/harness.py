@@ -148,9 +148,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        # no interpolation: a "%" in a value is an ordinary character
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keep key case (T vs t)
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
         cfg = cls()
@@ -165,7 +169,7 @@ class RunConfig:
         return cfg
 
     def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str
         for section, names in self._SECTIONS.items():
             parser[section] = {}
@@ -223,10 +227,11 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
     noise = HeavyTailNoise(p_moment=config.p_moment, tail_index=config.tail_index,
                            scale=config.noise_scale)
     calib_rng = np.random.default_rng([config.seed, 0x0CA11B])
-    calibrate_grad_bound(problem, noise, space, calib_rng,
-                         n_samples=config.calib_samples, safety=config.safety)
+    grad_bound = calibrate_grad_bound(problem, noise, space, calib_rng,
+                                      n_samples=config.calib_samples,
+                                      safety=config.safety)
     try:
-        hp = schedule(T, config.p_moment, noise.grad_bound, config.delta,
+        hp = schedule(T, config.p_moment, grad_bound, config.delta,
                       order=config.schedule_order, alpha_scale=config.b,
                       lr_scale=config.s)
     except ValueError as exc:
@@ -432,20 +437,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# one row of CSV_HEADER; "%.17g" % x is the same text as _fmt(x)
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+
+
 def write_trajectory_csv(traj: Trajectory, path: str):
+    columns = (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
+               traj.eps_hat, traj.eps, traj.clipped, traj.lr)
+    rows = zip(*(c.tolist() for c in columns))
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(traj.horizon):
-            fh.write(",".join([
-                str(int(traj.steps[i])),
-                _fmt(traj.objective[i]),
-                _fmt(traj.grad_norm[i]),
-                _fmt(traj.m_norm[i]),
-                _fmt(traj.eps_hat[i]),
-                _fmt(traj.eps[i]),
-                str(int(traj.clipped[i])),
-                _fmt(traj.lr[i]),
-            ]) + "\n")
+        fh.write("".join(_CSV_ROW % row for row in rows))
 
 
 def write_key_values(path: str, entries: dict):

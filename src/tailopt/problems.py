@@ -161,7 +161,7 @@ def pareto_radii(rng: np.random.Generator, shape, tail_index: float,
     return scale * (1.0 - rng.random(shape)) ** (-1.0 / tail_index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeavyTailNoise:
     """Additive dual-space noise with a symmetric Pareto radius.
 
@@ -171,15 +171,14 @@ class HeavyTailNoise:
     has mean zero by symmetry, and ||noise||_dual = R exactly, so moments
     of the dual norm follow the scalar Pareto closed form.
 
-    ``grad_bound`` is the calibrated moment bound G with
-    E||grad f(w1, z)||_dual^p <= G^p; it is None until
-    :func:`calibrate_grad_bound` runs and must not change afterwards.
+    The calibrated moment bound G is returned by
+    :func:`calibrate_grad_bound` and kept in the schedule
+    (``HyperParams.grad_bound``), so the noise model stays immutable.
     """
 
     p_moment: float
     tail_index: float
     scale: float = 1.0
-    grad_bound: float | None = None
 
     def __post_init__(self):
         if not (1.0 < self.p_moment <= 2.0):
@@ -236,7 +235,6 @@ def calibrate_grad_bound(problem, noise: HeavyTailNoise, space: NormedSpace,
     absorbs gradient-norm drift along the trajectory; for the bundled
     problems ||grad F|| is bounded (cosine) or the normalized updates keep
     the iterates in a ball of radius lr*T around the start (quadratic).
-    Stores the result on ``noise`` and returns it.
     """
     if n_samples < 10_000:
         raise ValueError("calibration needs at least 10_000 samples")
@@ -244,6 +242,4 @@ def calibrate_grad_bound(problem, noise: HeavyTailNoise, space: NormedSpace,
         raise ValueError("safety factor must be at least 1")
     g = noise.sample_batch(problem, space, problem.start, rng, n_samples)
     moment = float(np.mean(np.asarray(space.dual_norm(g)) ** noise.p_moment))
-    bound = safety * moment ** (1.0 / noise.p_moment)
-    noise.grad_bound = bound
-    return bound
+    return safety * moment ** (1.0 / noise.p_moment)

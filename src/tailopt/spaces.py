@@ -38,6 +38,7 @@ import numpy as np
 __all__ = ["NormedSpace"]
 
 _TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 
 
 def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
@@ -48,7 +49,8 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
     power act on ``keepdims`` arrays, never on numpy scalars, whose C ``pow``
     can differ in the last bit from the array ``power`` loop.  The Euclidean
     case takes a direct sum-of-squares path and only falls back to
-    max-factoring if some sum of squares overflows.
+    max-factoring if some sum of squares overflows or is NaN.  A vector with
+    an infinite component has norm inf; one with a NaN component, NaN.
     """
     if p == 2.0:
         ss = np.add.reduce(v * v, axis=-1, keepdims=True)
@@ -58,8 +60,11 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
             return float(out) if out.ndim == 0 else out
     a = np.abs(v)
     # the factor is the largest magnitude, floored at the smallest normal
-    # float so that a zero vector divides by it and gets norm 0
-    safe = np.maximum(np.maximum.reduce(a, axis=-1, keepdims=True), _TINY)
+    # float so that a zero vector divides by it and gets norm 0, and capped
+    # at the largest float so that an infinite component gives inf / max =
+    # inf, and norm inf, instead of inf / inf = NaN (NaN stays NaN)
+    safe = np.minimum(np.maximum.reduce(a, axis=-1, keepdims=True,
+                                        initial=_TINY), _HUGE)
     s = np.add.reduce((a / safe) ** p, axis=-1, keepdims=True)
     out = (safe * s ** (1.0 / p))[..., 0]
     return float(out) if out.ndim == 0 else out

@@ -237,6 +237,23 @@ def test_binomial_interval():
     assert conc.binomial_interval(100, 100)[1] == 1.0
 
 
+def test_binomial_interval_matches_beta_ppf():
+    # the interval's quantiles are those of scipy.stats.beta, bit for bit
+    from scipy.stats import beta
+
+    rng = np.random.default_rng(5)
+    for trials in (1, 2, 10, 37, 1000, 10_000, 200_000):
+        counts = {0, 1, trials - 1, trials, *rng.integers(0, trials + 1, 6).tolist()}
+        for successes in counts:
+            for confidence in (0.95, 0.99):
+                tail = (1.0 - confidence) / 2.0
+                lo = 0.0 if successes == 0 else float(
+                    beta.ppf(tail, successes, trials - successes + 1))
+                hi = 1.0 if successes == trials else float(
+                    beta.ppf(1.0 - tail, successes + 1, trials - successes))
+                assert conc.binomial_interval(successes, trials, confidence) == (lo, hi)
+
+
 def test_coverage_test_infinite_bound():
     rng = np.random.default_rng(8)
     res = conc.coverage_test(lambda r: (r.random(), math.inf), 1000, rng)

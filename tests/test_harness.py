@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tailopt import cli
 from tailopt.harness import (_BLOCK, CSV_HEADER, ConfigError, RunConfig,
@@ -264,6 +266,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     (["verify", "--delta", "0"], None, "delta"),
     (["concentration", "--trials", "0"], None, "trials"),
     (["concentration", "--delta", "2"], None, "delta"),
+    (["run"], "[run]\nalgorithm = ns%gd\n", "algorithm"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, ini, field):
     if ini is not None:
@@ -272,6 +275,73 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, ini, fie
         argv = argv + ["--config", str(path)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+@pytest.mark.parametrize("ini", ["T = 5\n", "[run]\nT = 5\nT = 6\n", b"[run]\nout = \xff\n"])
+def test_cli_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, ini):
+    # no section header, a duplicate key, a file that is not UTF-8
+    path = tmp_path / "bad.ini"
+    if isinstance(ini, bytes):
+        path.write_bytes(ini)
+    else:
+        path.write_text(ini)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {path}:")
+
+
+def test_config_percent_is_literal(tmp_path):
+    cfg = small_config(out=str(tmp_path / "o%1"))
+    path = tmp_path / "pct.ini"
+    path.write_text(cfg.to_ini())
+    assert RunConfig.from_file(str(path)) == cfg
+
+
+CONFIG_FIELDS = [name for names in RunConfig._SECTIONS.values() for name in names]
+SECTION_OF = {name: sec for sec, names in RunConfig._SECTIONS.items() for name in names}
+
+
+def _load_or_config_error(path) -> str | None:
+    """Load and validate an INI file; the ConfigError message, or None if
+    accepted.  Any other exception fails the calling test."""
+    try:
+        RunConfig.from_file(str(path)).validate()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("key", CONFIG_FIELDS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.one_of(st.text(), st.integers().map(str),
+                       st.floats().map(repr)))
+def test_fuzzed_config_value_is_accepted_or_named(tmp_path, key, value):
+    path = tmp_path / "fuzz.ini"
+    path.write_text(f"[{SECTION_OF[key]}]\n{key} = {value}\n", encoding="utf-8")
+    msg = _load_or_config_error(path)
+    assert msg is None or key in msg or str(path) in msg, msg
+
+
+_INI_LINES = st.one_of(
+    st.sampled_from(["[run]", "[problem]", "[noise]", "[DEFAULT]", "[other]"]),
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_FIELDS), st.text()),
+    st.text())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=st.one_of(st.binary(), st.text(),
+                         st.lists(_INI_LINES, max_size=8).map("\n".join)))
+def test_fuzzed_config_file_is_accepted_or_named(tmp_path, content):
+    path = tmp_path / "fuzz.ini"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    msg = _load_or_config_error(path)
+    if msg is not None and str(path) not in msg and not msg.startswith("unknown key"):
+        prefix = msg.split(":", 1)[0]
+        assert set(prefix.split(", ")) & set(CONFIG_FIELDS), msg
 
 
 def test_cli_concentration_report(tmp_path, capsys):
@@ -340,7 +410,7 @@ def test_cli_verify_reports_failure_exit_code(monkeypatch, capsys):
     def fake_suite(seed=0, sizes=None, delta=0.1):
         return [CheckResult("planted_failure", 10, 3, -1.0, False)]
 
-    monkeypatch.setattr(cli, "run_verification_suite", fake_suite)
+    monkeypatch.setattr("tailopt.verify.run_verification_suite", fake_suite)
     assert cli.main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

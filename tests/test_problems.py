@@ -1,5 +1,6 @@
 """Objective values, gradients, and the heavy-tailed oracle's moments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +168,10 @@ def test_calibration_zero_noise():
     g = calibrate_grad_bound(prob, noise, sp, np.random.default_rng(1),
                              n_samples=10_000, safety=1.0)
     assert g == pytest.approx(sp.dual_norm(prob.gradient(prob.start)), rel=1e-12)
-    assert noise.grad_bound == g
+    # the noise model is frozen: calibration returns G and stores nothing
+    assert noise == HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        noise.scale = 1.0
 
 
 def test_calibration_pure_noise_matches_pareto_moment():

@@ -1,5 +1,7 @@
 """Norm pair, duality map and clipping contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -182,6 +184,23 @@ def test_batch_rows_match_single_vector_calls(p):
         rows = fn(batch)
         for row, v in zip(rows, batch):
             assert np.array_equal(row, fn(v)), (fn.__name__, v)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_infinite_component_gives_infinite_norm(p):
+    sp = NormedSpace(dim=3, primal_exponent=p)
+    for fn in (sp.dual_norm, sp.primal_norm):
+        assert fn([np.inf, 1.0, 1.0]) == np.inf
+        assert fn([0.0, -np.inf, 0.0]) == np.inf
+        assert math.isnan(fn([np.nan, 1.0, 1.0]))
+        assert math.isnan(fn([np.nan, np.inf, 1.0]))
+        batch = np.array([[1.0, 2.0, 3.0], [np.inf, 1.0, 1.0], [0.0, 0.0, 0.0],
+                          [1e-3, -np.inf, np.inf], [np.nan, 1.0, 0.0]])
+        rows = fn(batch)
+        assert rows[1] == rows[3] == np.inf and rows[2] == 0.0
+        assert math.isnan(rows[4])
+        # with an infinite row in the batch, q = 2 takes the max-factored path
+        assert rows[0] == pytest.approx(fn(batch[0]), rel=1e-15)
 
 
 def test_batched_shapes():
