@@ -66,7 +66,8 @@ def _parse_grid(text: str) -> list[int]:
     try:
         grid = [int(t) for t in text.split(",")]
         fit_rate_exponent(grid, [1.0] * len(grid))
-    except ValueError as exc:
+    # OverflowError: a horizon beyond the float range
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"T-grid: {exc}") from exc
     return grid
 
@@ -219,6 +220,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the arrays a run allocates grow with these three fields
+        print(f"config error: dim, T, calib_samples: too large for the memory "
+              f"available ({exc})", file=sys.stderr)
         return 2
 
 

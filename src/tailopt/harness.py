@@ -248,8 +248,10 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
                       hp=hp, cert=cert, lr_seq=lr_seq)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
+    """One recorded run; its fields and arrays are read-only."""
+
     seed: int
     algorithm: str
     hp: HyperParams
@@ -267,8 +269,8 @@ class Trajectory:
     step_len: np.ndarray = field(repr=False)
     w_norm: np.ndarray = field(repr=False)
     final_w: np.ndarray = field(repr=False)
-    final_f: float = 0.0
-    selected_step: int = 0
+    final_f: float
+    selected_step: int
 
     @property
     def horizon(self) -> int:
@@ -299,13 +301,17 @@ _BLOCK = 1024
 def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
     """Execute one seeded trajectory of the configured algorithm.
 
-    The step loop runs only the dynamics (the oracle draw and the momentum
-    step).  Diagnostics are recorded block-wise: each step stores w_t, m_t,
-    the clipped sample and the query point in buffers of ``_BLOCK`` rows,
-    and once per block the objective, gradient norm, momentum norm and
-    error, sample error, step length and iterate norm are each computed by
-    one batched call.  A batch row gets the bits of the single-vector call
-    (see ``spaces``), so the values equal those of per-step evaluation.
+    The step loop runs only the dynamics: the gradient at the query point
+    plus that step's noise, and the momentum step.  The oracle noise of a
+    block of ``_BLOCK`` steps is drawn before its steps, from the same
+    stream as one ``noise.sample`` call per step (see
+    ``HeavyTailNoise.draw_steps``).  Diagnostics are recorded block-wise:
+    each step stores w_t, m_t, the clipped sample and the query point in
+    buffers of ``_BLOCK`` rows, and once per block the objective, gradient
+    norm, momentum norm and error, sample error, step length and iterate
+    norm are each computed by one batched call.  A batch row gets the bits
+    of the single-vector call (see ``spaces``), so the values equal those of
+    per-step evaluation.
     """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     T = hp.horizon
@@ -315,13 +321,15 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
      step_len, w_norm) = (np.empty(T) for _ in range(9))
     clipped = np.zeros(T, dtype=np.uint8)
     nigt = exp.config.algorithm == "nigt"
-    oracle = lambda x: noise.sample(problem, space, x, rng)
+    # reads z and i at call time: the current step's row of the block's noise
+    oracle = lambda x: problem.gradient(x) + z[i]
     lrs = exp.lr_seq.tolist()
     rows = min(_BLOCK, T)
     w_buf = np.empty((rows + 1, space.dim))  # w_t per row, then the next iterate
     m_buf, g_buf, q_buf = (np.empty((rows, space.dim)) for _ in range(3))
     for start in range(0, T, rows):
         n = min(rows, T - start)
+        z = noise.draw_steps(space, rng, n)
         for i, t in enumerate(range(start, start + n)):
             w_buf[i] = state.w
             if nigt:
@@ -352,8 +360,8 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
                       eps_hat=eps_hat, eps=eps, clipped=clipped,
                       lr=exp.lr_seq, clip_norm=clip_norm,
                       sample_norm=sample_norm, step_len=step_len, w_norm=w_norm,
-                      final_w=state.w.copy(), final_f=float(problem.value(state.w)))
-    traj.selected_step = recommend_output(m_norm, exp.cert.burn_in)
+                      final_w=state.w.copy(), final_f=float(problem.value(state.w)),
+                      selected_step=recommend_output(m_norm, exp.cert.burn_in))
     for arr in (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
                 traj.eps_hat, traj.eps, traj.clipped, traj.lr, traj.clip_norm,
                 traj.sample_norm, traj.step_len, traj.w_norm, traj.final_w):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,16 +123,16 @@ def schedule(horizon: int, p_moment: float, grad_bound: float, delta: float,
                        lr=lr, tau=tau)
 
 
-@dataclass(frozen=True)
-class OptimizerState:
+# Named tuples rather than frozen dataclasses: both are immutable, and a
+# tuple is built in about a third of the time, once per step each.
+class OptimizerState(NamedTuple):
     step: int           # number of completed steps
     w: np.ndarray       # current iterate
     w_prev: np.ndarray  # previous iterate (equals w before the first step)
     m: np.ndarray       # momentum, a dual vector
 
 
-@dataclass(frozen=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     sample_norm: float   # dual norm of the raw gradient sample
     clip_norm: float     # dual norm after clipping
     clipped: bool        # whether the threshold was active
@@ -141,7 +142,7 @@ class StepInfo:
 
 def init_state(w_start) -> OptimizerState:
     w = np.asarray(w_start, dtype=float).copy()
-    return OptimizerState(step=0, w=w, w_prev=w.copy(), m=np.zeros_like(w))
+    return OptimizerState(0, w, w.copy(), np.zeros_like(w))
 
 
 def _momentum_update(state: OptimizerState, sample: np.ndarray, hp: HyperParams,
@@ -154,10 +155,8 @@ def _momentum_update(state: OptimizerState, sample: np.ndarray, hp: HyperParams,
     g_clip = sample * (hp.tau / sample_norm) if clipped else sample
     m = hp.beta * state.m + (1.0 - hp.beta) * g_clip
     w_next = state.w - lr * space.duality_map(m)
-    info = StepInfo(sample_norm=sample_norm,
-                    clip_norm=min(sample_norm, hp.tau),
-                    clipped=clipped, query=query, g_clip=g_clip)
-    return OptimizerState(step=state.step + 1, w=w_next, w_prev=state.w, m=m), info
+    info = StepInfo(sample_norm, min(sample_norm, hp.tau), clipped, query, g_clip)
+    return OptimizerState(state.step + 1, w_next, state.w, m), info
 
 
 def clipped_momentum_step(state: OptimizerState, sample, hp: HyperParams,

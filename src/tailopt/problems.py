@@ -197,21 +197,42 @@ class HeavyTailNoise:
     def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return pareto_radii(rng, n, self.tail_index, self.scale)
 
+    def draw_steps(self, space: NormedSpace, rng: np.random.Generator,
+                   n: int) -> np.ndarray:
+        """The additive noise of n consecutive oracle calls, one row each.
+
+        Each step draws dim standard normals (the direction) and then one
+        uniform (the radius), so the rows are what n successive
+        :meth:`sample` calls add to the gradient, and the generator ends in
+        the same state.  The noise does not depend on the query point,
+        which is what lets a trajectory draw a block of steps ahead.  A
+        zero-scale oracle adds -0.0, which leaves every gradient bit as it
+        is, and still consumes its draws.
+        """
+        u = np.empty((n, space.dim))
+        radii = []
+        normal, uniform = rng.standard_normal, rng.random
+        scale, power = self.scale, -1.0 / self.tail_index
+        for row in u:
+            normal(out=row)
+            # on Python floats, ** is C pow, which can differ in the last
+            # bit from the array power of pareto_radii
+            radii.append(scale * (1.0 - uniform()) ** power)
+        if scale == 0.0:
+            return np.full_like(u, -0.0)
+        norms = space.dual_norm(u)
+        zero = norms == 0.0  # probability-zero guard, row by row
+        if zero.any():
+            u[zero] = 0.0
+            u[zero, 0] = 1.0
+            norms[zero] = 1.0
+        return (np.array(radii) / norms)[:, np.newaxis] * u
+
     def sample(self, problem, space: NormedSpace, w,
                rng: np.random.Generator) -> np.ndarray:
-        """One stochastic gradient at w.  Consumes dim+1 uniform draws."""
-        grad = problem.gradient(w)
-        u = rng.standard_normal(space.dim)
-        # pareto_radii for one scalar, inline: this runs once per step
-        radius = self.scale * (1.0 - rng.random()) ** (-1.0 / self.tail_index)
-        if self.scale == 0.0:
-            return grad.copy()
-        norm = space.dual_norm(u)
-        if norm == 0.0:  # probability-zero guard
-            u = np.zeros(space.dim)
-            u[0] = 1.0
-            norm = 1.0
-        return grad + (radius / norm) * u
+        """One stochastic gradient at w: the gradient plus one step of
+        :meth:`draw_steps`.  Consumes dim normal and one uniform draw."""
+        return problem.gradient(w) + self.draw_steps(space, rng, 1)[0]
 
     def sample_batch(self, problem, space: NormedSpace, w,
                      rng: np.random.Generator, n: int) -> np.ndarray:

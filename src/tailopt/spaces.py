@@ -41,23 +41,8 @@ _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 
 
-def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
-    """l_p norm along the last axis of a float array, max-factored against
-    overflow.
-
-    One arithmetic path for single vectors and batches: the sum and the
-    power act on ``keepdims`` arrays, never on numpy scalars, whose C ``pow``
-    can differ in the last bit from the array ``power`` loop.  The Euclidean
-    case takes a direct sum-of-squares path and only falls back to
-    max-factoring if some sum of squares overflows or is NaN.  A vector with
-    an infinite component has norm inf; one with a NaN component, NaN.
-    """
-    if p == 2.0:
-        ss = np.add.reduce(v * v, axis=-1, keepdims=True)
-        # argmax finds the largest sum of squares, or the first NaN
-        if ss.size == 0 or ss.item(ss.argmax()) < math.inf:
-            out = np.sqrt(ss)[..., 0]
-            return float(out) if out.ndim == 0 else out
+def _factored_norm(v: np.ndarray, p: float) -> np.ndarray:
+    """``keepdims`` l_p norm along the last axis, max-factored."""
     a = np.abs(v)
     # the factor is the largest magnitude, floored at the smallest normal
     # float so that a zero vector divides by it and gets norm 0, and capped
@@ -66,7 +51,36 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
     safe = np.minimum(np.maximum.reduce(a, axis=-1, keepdims=True,
                                         initial=_TINY), _HUGE)
     s = np.add.reduce((a / safe) ** p, axis=-1, keepdims=True)
-    out = (safe * s ** (1.0 / p))[..., 0]
+    return safe * s ** (1.0 / p)
+
+
+def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
+    """l_p norm along the last axis of a float array, max-factored against
+    overflow and underflow.
+
+    One arithmetic path for single vectors and batches: the sum and the
+    power act on ``keepdims`` arrays, never on numpy scalars, whose C ``pow``
+    can differ in the last bit from the array ``power`` loop.  The Euclidean
+    case takes a direct sum-of-squares path; a vector whose sum of squares
+    is below the smallest normal float (its squares underflowed), overflows
+    or is NaN is max-factored instead, and in a batch only that row is.  A
+    vector with an infinite component has norm inf; one with a NaN
+    component, NaN.
+    """
+    if p == 2.0:
+        ss = np.add.reduce(v * v, axis=-1, keepdims=True)
+        out = np.sqrt(ss)
+        if ss.size == 1:
+            # a NaN fails both comparisons
+            if not _TINY <= ss.item() < math.inf:
+                out = _factored_norm(v, p)
+        else:
+            bad = ~((ss >= _TINY) & (ss < math.inf))[..., 0]
+            if bad.any():
+                out[bad] = _factored_norm(v[bad], p)
+    else:
+        out = _factored_norm(v, p)
+    out = out[..., 0]
     return float(out) if out.ndim == 0 else out
 
 

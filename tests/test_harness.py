@@ -1,7 +1,8 @@
 """Config handling, persistence, invariants, sweeps, CLI exit codes."""
 
 import os
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tailopt import cli
-from tailopt.harness import (_BLOCK, CSV_HEADER, ConfigError, RunConfig,
+from tailopt.harness import (_BLOCK, CSV_HEADER, BurnInCompareResult,
+                             ConfigError, RateSweepResult, RunConfig,
                              build_experiment, burn_in_compare,
                              check_trajectory_invariants, descent_check,
                              eps_hat_check, last_iterate_check, rate_sweep,
                              run, run_trajectory, write_trajectory_csv)
 from tailopt.optimizers import (clipped_momentum_step, extrapolated_step,
                                 init_state, recommend_output)
+from tailopt.problems import HeavyTailNoise
 
 
 def small_config(**kw):
@@ -108,20 +111,49 @@ def _per_step_reference(exp, seed):
     return out
 
 
-@pytest.mark.parametrize("warmup", ["none", "hold"])
-@pytest.mark.parametrize("q", [2.0, 1.5])
-@pytest.mark.parametrize("algorithm", ["nsgd", "nigt"])
-def test_block_recording_matches_per_step_reference(algorithm, q, warmup):
-    # one full block plus a partial one; b = 20 lowers the threshold enough
-    # that clipping fires on every case
+# one full block plus a partial one, for each algorithm, norm and warmup;
+# then a zero-noise oracle and a horizon shorter than one block
+_REFERENCE_CASES = [
+    *(pytest.param(algorithm, q, warmup, {}, id=f"{algorithm}-{q}-{warmup}")
+      for algorithm in ("nsgd", "nigt") for q in (2.0, 1.5)
+      for warmup in ("none", "hold")),
+    pytest.param("nigt", 1.5, "none", {"noise_scale": 0.0},
+                 id="nigt-1.5-none-zero_noise"),
+    pytest.param("nsgd", 1.5, "hold", {"T": 300}, id="nsgd-1.5-hold-short"),
+]
+
+
+@pytest.mark.parametrize("algorithm, q, warmup, extra", _REFERENCE_CASES)
+def test_block_recording_matches_per_step_reference(algorithm, q, warmup, extra):
+    # b = 20 lowers the threshold enough that clipping fires on every noisy case
     cfg = small_config(algorithm=algorithm, q=q, T=_BLOCK + 3, noise_scale=3.0,
                        b=20.0, warmup=warmup, warmup_steps=200)
-    exp = build_experiment(cfg)
+    exp = build_experiment(replace(cfg, **extra))
     traj = run_trajectory(exp, 3)
     ref = _per_step_reference(exp, 3)
-    assert traj.clipped.any()
+    assert traj.clipped.any() == (exp.noise.scale > 0.0)
     for name, expect in ref.items():
         assert np.array_equal(getattr(traj, name), expect), name
+    assert traj.final_w.tobytes() == ref["final_w"].tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["nsgd", "nigt"])
+def test_step_loop_draws_noise_once_per_block(monkeypatch, algorithm):
+    exp = build_experiment(small_config(algorithm=algorithm, T=2 * _BLOCK + 5))
+    blocks = []
+    draw_steps = HeavyTailNoise.draw_steps
+
+    def counted(self, space, rng, n):
+        blocks.append(n)
+        return draw_steps(self, space, rng, n)
+
+    def no_sample(*args):
+        raise AssertionError("the step loop called HeavyTailNoise.sample")
+
+    monkeypatch.setattr(HeavyTailNoise, "draw_steps", counted)
+    monkeypatch.setattr(HeavyTailNoise, "sample", no_sample)
+    run_trajectory(exp, 3)
+    assert blocks == [_BLOCK, _BLOCK, 5]  # ceil(T / _BLOCK) draws
 
 
 def test_tau_fault_injection_detected():
@@ -267,6 +299,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     (["concentration", "--trials", "0"], None, "trials"),
     (["concentration", "--delta", "2"], None, "delta"),
     (["run"], "[run]\nalgorithm = ns%gd\n", "algorithm"),
+    (["run", "--dim", "1000000000000", "--T", "10"], None, "dim, T, calib_samples"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, ini, field):
     if ini is not None:
@@ -344,6 +377,98 @@ def test_fuzzed_config_file_is_accepted_or_named(tmp_path, content):
         assert set(prefix.split(", ")) & set(CONFIG_FIELDS), msg
 
 
+_RUN_FLAGS = ["--config", "--algo", "--problem", "--dim", "--q", "--p-moment",
+              "--tail-index", "--noise-scale", "--T", "--b", "--s", "--delta",
+              "--seed", "--seeds", "--warmup", "--warmup-steps", "--order",
+              "--out"]
+_CLI_FLAGS = {"run": _RUN_FLAGS + ["--plots"],
+              "rate-sweep": _RUN_FLAGS + ["--plots", "--T-grid"],
+              "burn-in": _RUN_FLAGS}
+_CHOICE_FLAGS = {"--algo": ["nsgd", "nigt"], "--problem": ["cosine_sum", "quadratic"],
+                 "--warmup": ["none", "hold"], "--order": ["first", "second"]}
+_INT_FLAGS = {"--dim", "--T", "--seed", "--seeds", "--warmup-steps"}
+# a shell argument holds no NUL character
+_ANY_ARG = st.one_of(
+    st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=12),
+    st.integers().map(str), st.floats().map(repr))
+
+
+def _plausible_value(flag):
+    """Values of the flag's type, valid and not."""
+    if flag in _CHOICE_FLAGS:
+        return st.sampled_from(_CHOICE_FLAGS[flag])
+    if flag in _INT_FLAGS:
+        return st.integers(-2, 3000).map(str)
+    if flag == "--T-grid":
+        return st.lists(st.integers(-10, 10**6).map(str), max_size=5).map(",".join)
+    return st.one_of(st.floats(-1.0, 4.0).map(repr),
+                     st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+
+
+_NAMED_BY_ARGPARSE = re.compile(
+    r"error: (argument (--[\w-]+)|ambiguous option: |unrecognized arguments: )")
+
+
+def _stub_runners(monkeypatch):
+    """Runners that start no trajectory; the CLI still parses and validates."""
+    horizons = np.array([1e3, 1e4, 1e5])
+    sweep = RateSweepResult(horizons=horizons, avg_grad=1.0 / horizons,
+                            min_grad=0.5 / horizons, slope=-1.0, stderr=0.0,
+                            target=-0.2)
+    per_mode = {mode: np.ones(2) for mode in ("none", "hold")}
+    compare = BurnInCompareResult(burn_in=0, final_f=per_mode, min_grad=per_mode,
+                                  post_burn_in_violations=per_mode)
+    monkeypatch.setattr(cli, "run", lambda cfg, plots=False: [])
+    monkeypatch.setattr(cli, "rate_sweep", lambda cfg, grid, n_seeds=None: sweep)
+    monkeypatch.setattr(cli, "burn_in_compare", lambda cfg: compare)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_1_or_2_naming_the_flag(tmp_path, monkeypatch,
+                                                     capsys, data):
+    _stub_runners(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nT = 500\n")
+    command = data.draw(st.sampled_from(sorted(_CLI_FLAGS)))
+    flags = data.draw(st.lists(st.sampled_from(_CLI_FLAGS[command]), max_size=6))
+    # at most one flag gets an arbitrary argument, so most argv reach validation
+    arbitrary = data.draw(st.integers(-1, len(flags) - 1))
+    argv = [command]
+    for i, flag in enumerate(flags):
+        argv.append(flag)
+        if flag == "--plots":
+            continue
+        if flag == "--out":  # outputs stay inside the test's directory
+            name = data.draw(st.text(alphabet="abc", min_size=1, max_size=3))
+            argv.append(str(tmp_path / "out" / name))
+        elif flag == "--config":
+            argv.append(str(data.draw(st.sampled_from([ini, tmp_path / "no.ini"]))))
+        elif i == arbitrary:
+            argv.append(data.draw(_ANY_ARG))
+        else:
+            argv.append(data.draw(_plausible_value(flag)))
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse: exit 2 on a usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 2:
+        match = _NAMED_BY_ARGPARSE.search(err)
+        if match is not None:
+            assert match.group(2) in (None, *_CLI_FLAGS[command]), err
+        else:
+            assert err.startswith("config error: "), err
+            prefix = err[len("config error: "):].split(":", 1)[0]
+            assert (set(prefix.split(", ")) & {*CONFIG_FIELDS, "T-grid"}
+                    or prefix.startswith("config file")), err
+
+
 def test_cli_concentration_report(tmp_path, capsys):
     out = str(tmp_path / "conc")
     code = cli.main(["concentration", "--trials", "1000", "--length", "30",
@@ -380,6 +505,8 @@ def test_records_immutable_after_run():
         traj.objective[0] = 0.0
     with pytest.raises(ValueError):
         traj.m_norm[:] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        traj.selected_step = 1
 
 
 def test_run_matches_run_trajectory_seed_for_seed():

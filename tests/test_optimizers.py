@@ -81,8 +81,7 @@ def test_step_hand_arithmetic():
     # beta=0.5, m=(1,0), g=(0,3), tau=2: clip -> (0,2), m' = (0.5, 1)
     sp = NormedSpace.euclidean(2)
     hp = _hp(beta=0.5, tau=2.0, lr=0.1)
-    state = init_state([0.0, 0.0])
-    object.__setattr__(state, "m", np.array([1.0, 0.0]))
+    state = init_state([0.0, 0.0])._replace(m=np.array([1.0, 0.0]))
     state2, info = clipped_momentum_step(state, np.array([0.0, 3.0]), hp, sp)
     np.testing.assert_allclose(state2.m, [0.5, 1.0], rtol=1e-15)
     n = math.hypot(0.5, 1.0)
@@ -93,8 +92,7 @@ def test_step_hand_arithmetic():
 def test_extrapolation_point_cases():
     state = init_state([1.0])
     assert extrapolation_point(state, 0.9) == pytest.approx([1.0])  # w == w_prev
-    state2 = init_state([1.0])
-    object.__setattr__(state2, "w_prev", np.array([0.0]))
+    state2 = init_state([1.0])._replace(w_prev=np.array([0.0]))
     np.testing.assert_allclose(extrapolation_point(state2, 0.0), [1.0])
     np.testing.assert_allclose(extrapolation_point(state2, 0.9), [10.0], rtol=1e-12)
     with pytest.raises(ValueError):

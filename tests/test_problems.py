@@ -86,6 +86,10 @@ def test_zero_noise_returns_exact_gradient():
     rng = np.random.default_rng(0)
     w = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(noise.sample(prob, sp, w, rng), prob.gradient(w))
+    # bit for bit, a -0.0 component included: -sin(0) = -0.0
+    cos = make_problem("cosine_sum", 3)
+    zero = np.zeros(3)
+    assert noise.sample(cos, sp, zero, rng).tobytes() == cos.gradient(zero).tobytes()
 
 
 def test_pareto_radius_moment_closed_form():
@@ -137,6 +141,50 @@ def test_single_sample_matches_batch_stream():
     a = noise.sample(prob, sp, w, np.random.default_rng(9))
     b = noise.sample(prob, sp, w, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_draw_steps_are_successive_samples(p, scale):
+    # n rows drawn ahead are the noise of n successive oracle calls, and
+    # both leave the generator in the same state
+    prob = make_problem("cosine_sum", 4)
+    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=scale)
+    sp = NormedSpace(dim=4, primal_exponent=p)
+    w = np.array([0.3, -1.0, 2.5, 0.0])
+    ahead, stepwise = np.random.default_rng(11), np.random.default_rng(11)
+    z = noise.draw_steps(sp, ahead, 50)
+    assert z.shape == (50, 4)
+    grad = prob.gradient(w)
+    for row in z:
+        assert (grad + row).tobytes() == noise.sample(prob, sp, w, stepwise).tobytes()
+    assert ahead.random() == stepwise.random()
+
+
+class _ZeroDirectionEveryOtherStep:
+    """A generator stand-in whose odd steps draw an all-zero direction."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def standard_normal(self, out):
+        out[:] = 0.0 if self.steps % 2 else np.arange(1.0, out.size + 1.0)
+        self.steps += 1
+
+    def random(self):
+        return 0.5
+
+
+def test_draw_steps_zero_direction_guard_per_row():
+    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8)
+    sp = NormedSpace(dim=3, primal_exponent=1.5)
+    z = noise.draw_steps(sp, _ZeroDirectionEveryOtherStep(), 4)
+    radius = 0.5 ** (-1.0 / 1.8)
+    u = np.arange(1.0, 4.0)
+    for row in z[0::2]:
+        assert row.tobytes() == ((radius / sp.dual_norm(u)) * u).tobytes()
+    for row in z[1::2]:  # the guard's direction e_0
+        assert row.tobytes() == np.array([radius, 0.0, 0.0]).tobytes()
 
 
 def test_heavy_tail_second_moment_grows():

@@ -203,6 +203,38 @@ def test_infinite_component_gives_infinite_norm(p):
         assert rows[0] == pytest.approx(fn(batch[0]), rel=1e-15)
 
 
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_subnormal_vector_keeps_its_norm(p):
+    # at q = 2 the squares of subnormal components underflow to 0; such a
+    # vector is max-factored instead, so its norm is not 0 and its duality
+    # map is a unit vector, not the no-step zero
+    sp = NormedSpace(dim=3, primal_exponent=p)
+    v = np.array([1e-310, 0.0, 0.0])
+    if p == 2.0:
+        assert sp.dual_norm(v) == sp.primal_norm(v) == 1e-310
+    assert sp.dual_norm(v) == pytest.approx(1e-310, rel=1e-12)
+    assert sp.primal_norm(sp.duality_map(v)) == pytest.approx(1.0, rel=1e-12)
+    m = np.array([3e-310, -4e-310, 0.0])
+    assert sp.primal_norm(sp.duality_map(m)) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_extreme_rows_keep_single_vector_bits(p):
+    # only a row whose sum of squares underflows, overflows or is NaN is
+    # max-factored, so every row keeps the bits of its single-vector call
+    sp = NormedSpace(dim=3, primal_exponent=p)
+    rng = np.random.default_rng(11)
+    batch = rng.standard_normal((2000, 3)) * rng.lognormal(0, 3, size=(2000, 1))
+    batch[[3, 500, 1000, 1500, 1999]] = [[0.0, 0.0, 0.0], [1e-310, 0.0, 0.0],
+                                         [1e200, 1e200, 0.0], [np.nan, 1.0, 1.0],
+                                         [np.inf, 0.0, 1.0]]
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf and NaN rows
+        for fn in (sp.dual_norm, sp.primal_norm, sp.duality_map):
+            rows = fn(batch)
+            for row, v in zip(rows, batch):
+                assert np.array_equal(row, fn(v), equal_nan=True), (fn.__name__, v)
+
+
 def test_batched_shapes():
     sp = NormedSpace(dim=4, primal_exponent=1.5)
     batch = np.ones((6, 3, 4))
