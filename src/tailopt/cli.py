@@ -11,8 +11,9 @@ import sys
 from dataclasses import fields, replace
 
 from tailopt.analysis import fit_rate_exponent
-from tailopt.harness import (ConfigError, RunConfig, burn_in_compare,
-                             check_trajectory_invariants, rate_sweep, run)
+from tailopt.harness import (MAX_ARRAY_LEN, ConfigError, RunConfig,
+                             burn_in_compare, check_trajectory_invariants,
+                             make_output_dir, rate_sweep, run)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -69,20 +70,22 @@ def _parse_grid(text: str) -> list[int]:
     # OverflowError: a horizon beyond the float range
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"T-grid: {exc}") from exc
+    if max(grid) > MAX_ARRAY_LEN:
+        raise ConfigError(f"T-grid: must be at most {MAX_ARRAY_LEN}, got {max(grid)}")
     return grid
 
 
 def _cmd_rate_sweep(args) -> int:
     cfg = _build_config(args)
     grid = _parse_grid(args.T_grid)
-    result = rate_sweep(cfg, grid, n_seeds=args.seeds or cfg.seeds)
+    make_output_dir(cfg.out)
+    result = rate_sweep(cfg, grid)
     print("T,avg_grad_norm,min_grad_norm")
     for row in result.rows():
         print(f"{row['T']},{row['avg_grad_norm']:.6g},{row['min_grad_norm']:.6g}")
     print(f"fitted slope: {result.slope:.4f} +/- {result.stderr:.4f} "
           f"(scheduled: {result.target:.4f})")
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, "rate_sweep.csv"), "w") as fh:
             fh.write("T,avg_grad_norm,min_grad_norm\n")
             for row in result.rows():
@@ -104,6 +107,7 @@ def _cmd_rate_sweep(args) -> int:
 
 def _cmd_burn_in(args) -> int:
     cfg = _build_config(args)
+    make_output_dir(cfg.out)
     result = burn_in_compare(cfg)
     print(f"burn-in steps: {result.burn_in}")
     for mode in ("none", "hold"):
@@ -113,7 +117,6 @@ def _cmd_burn_in(args) -> int:
               f"{s['min_grad_mean']:.4g} +/- {s['min_grad_band']:.2g}, "
               f"post-burn-in descent violations/seed = {s['violations_mean']:.2f}")
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, "burn_in_compare.csv"), "w") as fh:
             fh.write("mode,seed,final_f,min_grad_norm,post_burn_in_violations\n")
             for mode in ("none", "hold"):
@@ -132,6 +135,7 @@ def _check_seed_delta(args):
 def _cmd_verify(args) -> int:
     from tailopt.verify import run_verification_suite
     _check_seed_delta(args)
+    make_output_dir(args.out)
     results = run_verification_suite(seed=args.seed, delta=args.delta)
     width = max(len(r.name) for r in results)
     failures = 0
@@ -143,7 +147,6 @@ def _cmd_verify(args) -> int:
               + (f"  [{r.note}]" if r.note else ""))
     print(f"{len(results) - failures}/{len(results)} checks passed")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "verify_report.csv"), "w") as fh:
             fh.write("check,samples,violations,worst,pass\n")
             for r in results:
@@ -159,6 +162,7 @@ def _cmd_concentration(args) -> int:
         if getattr(args, flag) < 1:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
     _check_seed_delta(args)
+    make_output_dir(args.out)
     rows = coverage_report(args.trials, args.length, args.delta, seed=args.seed)
     header = "lemma,delta,trials,coverage,ci_low,ci_high,pass"
     print(header)
@@ -172,7 +176,6 @@ def _cmd_concentration(args) -> int:
         lines.append(line)
         ok &= bool(row["pass"])
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "concentration_report.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0 if ok else 1

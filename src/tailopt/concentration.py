@@ -1,12 +1,12 @@
 """Executable concentration bounds and their Monte-Carlo coverage tests.
 
 The dimension-free machinery rests on a scalar reduction: given dual
-vectors X_1..X_T in a (2, C)-smooth norm, ``s_sequence`` builds scalars
-s_t with |s_t| <= ||X_t|| such that
+vectors X_1..X_T in a (2, C)-smooth norm, ``s_sequence_batch`` builds
+scalars s_t with |s_t| <= ||X_t|| such that
 
     ||sum X_t||  <=  |sum s_t| + (max_t ||X_t||^2 + C sum_t ||X_t||^2)^(1/2)
 
-(``s_sequence_majorant`` evaluates the right-hand side).  Concentrating
+(``s_sequence_majorant_batch`` evaluates the right-hand side).  Concentrating
 the scalar martingale s_t with the classic one-dimensional inequality then
 yields the Hilbert- and Banach-space Freedman bounds below, and combining
 those with bias/variance bounds for norm-truncated vectors yields the
@@ -32,9 +32,7 @@ from tailopt.problems import pareto_moment, pareto_radii
 from tailopt.spaces import NormedSpace
 
 __all__ = [
-    "s_sequence",
     "s_sequence_batch",
-    "s_sequence_majorant",
     "s_sequence_majorant_batch",
     "freedman_scalar_bound",
     "freedman_hilbert_bound",
@@ -45,7 +43,6 @@ __all__ = [
     "truncation_bias_variance_mc",
     "power_mean_check",
     "CoverageResult",
-    "coverage_test",
     "binomial_interval",
     "clipped_pareto_second_moment",
     "freedman_scalar_coverage",
@@ -92,14 +89,6 @@ def s_sequence_batch(xs, space: NormedSpace) -> np.ndarray:
     return out
 
 
-def s_sequence(xs, space: NormedSpace) -> np.ndarray:
-    """Scalar reduction of a single stream of dual vectors, shape (T, dim)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("expected a stream of shape (length, dim)")
-    return s_sequence_batch(xs[np.newaxis], space)[0]
-
-
 def s_sequence_majorant_batch(xs, space: NormedSpace) -> np.ndarray:
     """Deterministic upper bounds on ||sum_t X_t||, one per stream."""
     xs = np.asarray(xs, dtype=float)
@@ -109,11 +98,6 @@ def s_sequence_majorant_batch(xs, space: NormedSpace) -> np.ndarray:
     tail = (np.max(norms ** p, axis=-1)
             + space.smooth_constant * np.sum(norms ** p, axis=-1)) ** (1.0 / p)
     return np.abs(np.sum(s, axis=-1)) + tail
-
-
-def s_sequence_majorant(xs, space: NormedSpace) -> float:
-    xs = np.asarray(xs, dtype=float)
-    return float(s_sequence_majorant_batch(xs[np.newaxis], space)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +284,18 @@ def truncation_bias_variance_mc(sample_fn, mean, threshold: float,
                               variance_se=variance_se, trials=trials)
 
 
-def power_mean_check(values, p_low: float, p_high: float) -> float:
-    """Slack of (sum x^p_high)^(1/p_high) <= (sum x^p_low)^(1/p_low)."""
+def power_mean_check(values, p_low: float, p_high: float) -> np.ndarray | float:
+    """Slack of (sum x^p_high)^(1/p_high) <= (sum x^p_low)^(1/p_low), summed
+    over the last axis: a scalar for one vector, an array for a batch."""
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0.0):
         raise ValueError("power-mean comparison needs positive entries")
     if not (0.0 < p_low <= p_high):
         raise ValueError("need 0 < p_low <= p_high")
-    lo = float(np.sum(values ** p_low) ** (1.0 / p_low))
-    hi = float(np.sum(values ** p_high) ** (1.0 / p_high))
-    return lo - hi
+    lo = np.sum(values ** p_low, axis=-1) ** (1.0 / p_low)
+    hi = np.sum(values ** p_high, axis=-1) ** (1.0 / p_high)
+    out = lo - hi
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +333,6 @@ class CoverageResult:
                    coverage=successes / trials, ci_low=lo, ci_high=hi)
 
 
-def coverage_test(trial_fn, trials: int, rng: np.random.Generator) -> CoverageResult:
-    """Fraction of trials whose realized deviation stays below its bound.
-
-    ``trial_fn(rng)`` returns a (deviation, bound) pair per independent
-    stream.  At least 1000 trials are required for the binomial interval
-    to be meaningful.
-    """
-    if trials < 1000:
-        raise ValueError("coverage tests need at least 1000 trials")
-    successes = 0
-    for _ in range(trials):
-        deviation, bound = trial_fn(rng)
-        if deviation <= bound:
-            successes += 1
-    return CoverageResult.from_counts(successes, trials)
-
-
 def clipped_pareto_second_moment(tail_index: float, scale: float, clip: float) -> float:
     """E[min(R, clip)^2] for R ~ Pareto(tail_index, scale), clip >= scale."""
     a, x_m = tail_index, scale
@@ -384,10 +353,14 @@ def _clipped_pareto_vectors(rng, shape, tail_index, clip, space):
     return radii[..., np.newaxis] * (u / np.where(norms > 0.0, norms, 1.0))
 
 
-def _batched_coverage(trials: int, batch: int, covered) -> CoverageResult:
+# streams drawn per batch by the vector coverage drivers
+_COVERAGE_BATCH = 2000
+
+
+def _batched_coverage(trials: int, covered) -> CoverageResult:
     """``covered(n)`` draws n streams and flags those the bound covered."""
-    successes = sum(int(np.sum(covered(min(batch, trials - start))))
-                    for start in range(0, trials, batch))
+    successes = sum(int(np.sum(covered(min(_COVERAGE_BATCH, trials - start))))
+                    for start in range(0, trials, _COVERAGE_BATCH))
     return CoverageResult.from_counts(successes, trials)
 
 
@@ -402,15 +375,15 @@ def freedman_scalar_coverage(trials: int, length: int, delta: float,
 
 
 def freedman_vector_coverage(variant: str, trials: int, length: int, delta: float,
-                             rng: np.random.Generator, dim: int = 4,
-                             tail_index: float = 1.8, clip: float = 5.0,
-                             batch: int = 2000) -> CoverageResult:
+                             rng: np.random.Generator) -> CoverageResult:
     """Clipped-Pareto vector streams with exactly known (R, sigma_t).
 
-    variant "hilbert" checks the Hilbert bound (stated coverage 1 - 3*delta)
-    in the Euclidean space; "banach" checks the smooth-space bound (stated
+    Increments in R^4 with Pareto(1.8) radii clipped at R = 5.  Variant
+    "hilbert" checks the Hilbert bound (stated coverage 1 - 3*delta) in the
+    Euclidean space; "banach" checks the smooth-space bound (stated
     coverage 1 - delta) in the dual of l_1.5, where C = 2.
     """
+    dim, tail_index, clip = 4, 1.8, 5.0
     if variant == "hilbert":
         space = NormedSpace.euclidean(dim)
     elif variant == "banach":
@@ -430,21 +403,21 @@ def freedman_vector_coverage(variant: str, trials: int, length: int, delta: floa
         norms = np.asarray(space.dual_norm(np.cumsum(xs, axis=1)))
         return np.all(norms <= bounds[np.newaxis, :], axis=1)
 
-    return _batched_coverage(trials, batch, covered)
+    return _batched_coverage(trials, covered)
 
 
 def truncated_sum_coverage(variant: str, trials: int, length: int, delta: float,
-                           rng: np.random.Generator, dim: int = 3,
-                           tail_index: float = 1.8, p_moment: float = 1.5,
-                           batch: int = 2000) -> CoverageResult:
+                           rng: np.random.Generator) -> CoverageResult:
     """Raw-Pareto streams truncated at the bound's own threshold.
 
-    The Hilbert variant uses one-sided scalar Pareto variables, so the
-    truncation bias the bound must absorb is real and nonzero; the Banach
-    variant uses symmetric vector streams in the dual of l_1.5.  The
-    threshold is G * length^(1/p), the scale at which the bias and
-    concentration terms balance.
+    Pareto(1.8) radii with moment index p = 1.5.  The Hilbert variant uses
+    one-sided scalar Pareto variables, so the truncation bias the bound must
+    absorb is real and nonzero; the Banach variant uses symmetric vector
+    streams in R^3 under the dual of l_1.5.  The threshold is
+    G * length^(1/p), the scale at which the bias and concentration terms
+    balance.
     """
+    dim, tail_index, p_moment = 3, 1.8, 1.5
     g_p = pareto_moment(tail_index, 1.0, p_moment)  # E ||X||^p
     g = g_p ** (1.0 / p_moment)
     tau = g * length ** (1.0 / p_moment)
@@ -464,4 +437,4 @@ def truncated_sum_coverage(variant: str, trials: int, length: int, delta: float,
         xs = _clipped_pareto_vectors(rng, (n, length), tail_index, tau, space)
         return np.asarray(space.dual_norm(np.sum(xs, axis=1))) <= bound
 
-    return _batched_coverage(trials, batch, covered)
+    return _batched_coverage(trials, covered)

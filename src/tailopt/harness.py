@@ -37,6 +37,8 @@ from tailopt.spaces import NormedSpace
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "MAX_ARRAY_LEN",
+    "make_output_dir",
     "Trajectory",
     "build_experiment",
     "run_trajectory",
@@ -56,6 +58,22 @@ CSV_HEADER = "t,f,grad_norm,m_norm,eps_hat,eps,clipped,eta"
 
 class ConfigError(ValueError):
     """A run configuration field failed validation."""
+
+
+# the most float64 elements numpy can address: it refuses a larger array
+# before allocating, and an addressable one too big for memory is a MemoryError
+MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
+
+
+def make_output_dir(path: str | None) -> str | None:
+    """Create the output directory ``path`` (none if empty) before any work
+    is done, or raise a ConfigError naming ``out`` if it cannot be made."""
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"out: cannot create directory {path!r}: {exc}") from exc
+    return path
 
 
 @dataclass
@@ -138,6 +156,13 @@ class RunConfig:
             raise ConfigError(f"calib_samples: need at least 10000, got {self.calib_samples}")
         if self.safety < 1.0:
             raise ConfigError(f"safety: must be at least 1, got {self.safety}")
+        for name in ("dim", "T", "calib_samples"):
+            if getattr(self, name) > MAX_ARRAY_LEN:
+                raise ConfigError(f"{name}: must be at most {MAX_ARRAY_LEN}, "
+                                  f"got {getattr(self, name)}")
+        if self.calib_samples * self.dim > MAX_ARRAY_LEN:
+            raise ConfigError(f"calib_samples, dim: their product must be at most "
+                              f"{MAX_ARRAY_LEN} (the calibration batch)")
         return self
 
     @property
@@ -230,12 +255,16 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
     grad_bound = calibrate_grad_bound(problem, noise, space, calib_rng,
                                       n_samples=config.calib_samples,
                                       safety=config.safety)
+    if grad_bound == 0.0:
+        raise ConfigError("start_value, noise_scale: the gradient moment bound is 0 "
+                          "(no noise at a stationary start), so no schedule exists")
     try:
         hp = schedule(T, config.p_moment, grad_bound, config.delta,
                       order=config.schedule_order, alpha_scale=config.b,
                       lr_scale=config.s)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # alpha above 1: the horizon is too short for b
+        horizon_field = "T" if horizon is None else "T-grid"
+        raise ConfigError(f"{horizon_field}, b: {exc}") from exc
     cert = burn_in_certificate(hp, problem.lipschitz, problem.hessian_lipschitz,
                                space.smooth_constant)
     if config.warmup == "hold" and config.warmup_steps is not None:
@@ -373,15 +402,15 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
 # trajectory-level invariants
 
 
-def check_trajectory_invariants(traj: Trajectory, hp: HyperParams | None = None,
-                                rel_tol: float = 1e-12) -> dict[str, bool]:
+def check_trajectory_invariants(traj: Trajectory,
+                                hp: HyperParams | None = None) -> dict[str, bool]:
     """Structural invariants of a recorded trajectory.
 
     - step_length: whenever m_t is nonzero, ||w_{t+1} - w_t|| equals the
-      applied learning rate to relative tolerance.  Storing w_{t+1} rounds
-      each component by eps*|w_i|, so the realized difference carries an
-      irreducible absolute error of order eps*||w_t|| on top of the
-      relative one; the tolerance accounts for both.
+      applied learning rate to relative tolerance 1e-12.  Storing w_{t+1}
+      rounds each component by eps*|w_i|, so the realized difference
+      carries an irreducible absolute error of order eps*||w_t|| on top of
+      the relative one; the tolerance accounts for both.
     - momentum_ball: ||m_t|| <= tau (convex combination of clipped samples).
     - tau_consistency: clipped steps sit exactly at the threshold and
       unclipped steps below it, against the *intended* hyperparameters
@@ -391,50 +420,51 @@ def check_trajectory_invariants(traj: Trajectory, hp: HyperParams | None = None,
     moving = traj.m_norm > 0.0
     float_floor = 8.0 * np.finfo(float).eps * (traj.w_norm[moving] + traj.lr[moving])
     ok_len = np.all(np.abs(traj.step_len[moving] - traj.lr[moving])
-                    <= rel_tol * np.maximum(traj.lr[moving], 1e-300) + float_floor)
-    ok_ball = np.all(traj.m_norm <= hp.tau * (1.0 + rel_tol))
+                    <= 1e-12 * np.maximum(traj.lr[moving], 1e-300) + float_floor)
+    ok_ball = np.all(traj.m_norm <= hp.tau * (1.0 + 1e-12))
     was_clipped = traj.clipped.astype(bool)
     ok_tau = (np.all(np.abs(traj.clip_norm[was_clipped] - hp.tau) <= 1e-9 * hp.tau)
-              and np.all(traj.clip_norm[~was_clipped] <= hp.tau * (1.0 + rel_tol)))
+              and np.all(traj.clip_norm[~was_clipped] <= hp.tau * (1.0 + 1e-12)))
     return {"step_length": bool(ok_len), "momentum_ball": bool(ok_ball),
             "tau_consistency": bool(ok_tau)}
 
 
-def _non_descent(traj: Trajectory, tol: float = 1e-9) -> np.ndarray:
-    """Per step t: F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + tol."""
+def _non_descent(traj: Trajectory) -> np.ndarray:
+    """Per step t: F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + 1e-9."""
     f_next = np.append(traj.objective[1:], traj.final_f)
-    return f_next >= traj.objective - 0.5 * traj.lr * traj.m_norm + tol
+    return f_next >= traj.objective - 0.5 * traj.lr * traj.m_norm + 1e-9
 
 
-def descent_check(traj: Trajectory, cert: BurnInCertificate | None = None,
-                  tol: float = 1e-9) -> tuple[int, int]:
+def descent_check(traj: Trajectory) -> tuple[int, int]:
     """(qualifying steps, violations) of the certified-descent condition.
 
-    A step t qualifies when t >= burn-in and ||m_t|| >= the momentum
-    threshold; it violates when F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + tol.
+    Against the trajectory's own certificate, a step t qualifies when
+    t >= burn-in and ||m_t|| >= the momentum threshold; it violates when
+    F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + 1e-9.
     """
-    cert = cert or traj.cert
+    cert = traj.cert
     qualify = (traj.steps >= max(cert.burn_in, 1)) & \
               (traj.m_norm >= cert.momentum_threshold)
-    return int(np.sum(qualify)), int(np.sum(qualify & _non_descent(traj, tol)))
+    return int(np.sum(qualify)), int(np.sum(qualify & _non_descent(traj)))
 
 
-def eps_hat_check(traj: Trajectory, cert: BurnInCertificate | None = None) -> int:
-    """Count of post-burn-in steps whose momentum error exceeds the bound."""
-    cert = cert or traj.cert
+def eps_hat_check(traj: Trajectory) -> int:
+    """Count of post-burn-in steps whose momentum error exceeds the bound
+    of the trajectory's certificate."""
+    cert = traj.cert
     idx = traj.steps >= max(cert.burn_in, 1)
     return int(np.sum(traj.eps_hat[idx] > cert.momentum_error_bound))
 
 
-def last_iterate_check(traj: Trajectory, cert: BurnInCertificate | None = None,
-                       tol: float = 1e-9) -> bool:
-    """Last recorded objective is no worse than at the last sub-threshold step."""
-    cert = cert or traj.cert
+def last_iterate_check(traj: Trajectory) -> bool:
+    """Last recorded objective is no worse, up to 1e-9, than at the last
+    step below the certificate's momentum threshold."""
+    cert = traj.cert
     start = max(cert.burn_in, 1)
     idx = np.nonzero((traj.steps >= start) &
                      (traj.m_norm < cert.momentum_threshold))[0]
     t_hat = int(traj.steps[idx[-1]]) if idx.size else start
-    return bool(traj.objective[-1] <= traj.objective[t_hat - 1] + tol)
+    return bool(traj.objective[-1] <= traj.objective[t_hat - 1] + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -487,25 +517,23 @@ def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
     }
 
 
-def run(config: RunConfig, out_dir: str | None = None,
-        plots: bool = False) -> list[Trajectory]:
-    """Run the configured experiment over its seed batch, writing artifacts.
+def run(config: RunConfig, plots: bool = False) -> list[Trajectory]:
+    """Run the configured experiment over its seed batch, writing artifacts
+    to ``config.out`` if set.
 
     Per-seed subdirectories receive trajectory.csv, certificate.txt and
     summary.txt; the resolved config is echoed once at the top level.
     Outputs are byte-stable for a fixed (config, seed).
     """
     exp = build_experiment(config)
+    out = make_output_dir(config.out)
     trajectories = [run_trajectory(exp, config.seed + i)
                     for i in range(config.seeds)]
-    out = out_dir if out_dir is not None else (config.out or None)
     if out:
-        os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "config.txt"), "w") as fh:
             fh.write(config.to_ini())
         for traj in trajectories:
-            sub = os.path.join(out, f"seed_{traj.seed:04d}")
-            os.makedirs(sub, exist_ok=True)
+            sub = make_output_dir(os.path.join(out, f"seed_{traj.seed:04d}"))
             write_trajectory_csv(traj, os.path.join(sub, "trajectory.csv"))
             write_key_values(os.path.join(sub, "certificate.txt"),
                              certificate_entries(exp.hp, exp.cert))
@@ -542,16 +570,17 @@ class RateSweepResult:
                 for T, a, m in zip(self.horizons, self.avg_grad, self.min_grad)]
 
 
-def rate_sweep(config: RunConfig, horizons, n_seeds: int | None = None) -> RateSweepResult:
-    """Average-gradient-norm decay across horizons, with a log-log fit."""
+def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
+    """Average-gradient-norm decay across horizons, with a log-log fit; each
+    horizon runs the config's seed batch."""
     horizons = sorted(int(t) for t in horizons)
     if len(horizons) < 3:
         raise ConfigError("rate sweep needs at least three horizons")
-    n_seeds = n_seeds or config.seeds
     avg_rows, min_rows = [], []
     for T in horizons:
         exp = build_experiment(config, horizon=T)
-        trajs = [run_trajectory(exp, config.seed + i) for i in range(n_seeds)]
+        trajs = [run_trajectory(exp, config.seed + i)
+                 for i in range(config.seeds)]
         avg_rows.append(float(np.mean([t.grad_norm.mean() for t in trajs])))
         min_rows.append(float(np.mean([t.grad_norm.min() for t in trajs])))
     slope, stderr = fit_rate_exponent(horizons, avg_rows)
@@ -585,15 +614,14 @@ class BurnInCompareResult:
         }
 
 
-def burn_in_compare(config: RunConfig, n_seeds: int | None = None) -> BurnInCompareResult:
-    """Paired comparison of warmup modes over a common seed batch.
+def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
+    """Paired comparison of warmup modes over the config's seed batch.
 
     Both modes share noise streams seed for seed.  The violation counter
     is the raw post-burn-in count of steps that failed to descend by half
     the step-length-weighted momentum norm.
     """
-    n_seeds = n_seeds or config.seeds
-    seeds = [config.seed + i for i in range(n_seeds)]
+    seeds = [config.seed + i for i in range(config.seeds)]
     final_f, min_grad, violations = {}, {}, {}
     burn_in = 0
     for mode in ("none", "hold"):

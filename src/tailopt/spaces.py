@@ -120,14 +120,6 @@ class NormedSpace:
     def euclidean(cls, dim: int) -> "NormedSpace":
         return cls(dim=dim, primal_exponent=2.0)
 
-    @classmethod
-    def from_dual_exponent(cls, dim: int, dual_exponent: float) -> "NormedSpace":
-        """Space whose gradient-side norm is l_r for the given r >= 2."""
-        r = float(dual_exponent)
-        if not (2.0 <= r < np.inf):
-            raise ValueError(f"dual exponent must lie in [2, inf), got {r}")
-        return cls(dim=dim, primal_exponent=r / (r - 1.0))
-
     def _check_dim(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.dim:

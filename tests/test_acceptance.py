@@ -49,7 +49,7 @@ def burn_in_batch():
 
 def test_criterion_1_first_order_rate_exponent():
     t0 = time.time()
-    res = rate_sweep(crit1_config(), [1_000, 10_000, 100_000], n_seeds=20)
+    res = rate_sweep(crit1_config(seeds=20), [1_000, 10_000, 100_000])
     elapsed = time.time() - t0
     ok = abs(res.slope - (-0.20)) <= 0.12 and elapsed <= 300.0
     report(1, ok,

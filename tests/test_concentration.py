@@ -14,7 +14,8 @@ DUAL_OF_15 = NormedSpace(dim=4, primal_exponent=1.5)  # dual l_3, C = 2
 
 def test_s_sequence_zero_stream():
     xs = np.zeros((7, 4))
-    np.testing.assert_array_equal(conc.s_sequence(xs, EUCLID4), np.zeros(7))
+    np.testing.assert_array_equal(conc.s_sequence_batch(xs[None], EUCLID4)[0],
+                                  np.zeros(7))
 
 
 def test_s_sequence_hand_trace_1d():
@@ -22,10 +23,10 @@ def test_s_sequence_hand_trace_1d():
     # sgn(0) = +1 gives s = (0, -2, 3)
     sp = NormedSpace.euclidean(1)
     xs = np.array([[1.0], [-2.0], [3.0]])
-    s = conc.s_sequence(xs, sp)
+    s = conc.s_sequence_batch(xs[None], sp)[0]
     np.testing.assert_allclose(s, [0.0, -2.0, 3.0], rtol=1e-14)
     # hand-computed majorant: |sum s| + sqrt(max ||X||^2 + C sum ||X||^2)
-    maj = conc.s_sequence_majorant(xs, sp)
+    maj = conc.s_sequence_majorant_batch(xs[None], sp)[0]
     assert maj == pytest.approx(1.0 + math.sqrt(9.0 + 14.0), rel=1e-14)
     assert maj >= abs(xs.sum())  # = 2
 
@@ -43,8 +44,9 @@ def test_majorant_single_vector():
     for sp in (EUCLID4, DUAL_OF_15):
         x = np.array([[1.0, -2.0, 0.5, 1.5]])
         expect = (1.0 + sp.smooth_constant) ** 0.5 * sp.dual_norm(x[0])
-        assert conc.s_sequence_majorant(x, sp) == pytest.approx(expect, rel=1e-14)
-        assert conc.s_sequence_majorant(x, sp) >= sp.dual_norm(x[0])
+        maj = conc.s_sequence_majorant_batch(x[None], sp)[0]
+        assert maj == pytest.approx(expect, rel=1e-14)
+        assert maj >= sp.dual_norm(x[0])
 
 
 def test_majorant_dominates_sum_norm_sweep():
@@ -63,7 +65,7 @@ def test_majorant_dominates_constant_stream():
     # all increments equal: the scalar prefix must carry the growth
     sp = NormedSpace.euclidean(1)
     xs = np.ones((10, 1))
-    assert conc.s_sequence_majorant(xs, sp) >= 10.0
+    assert conc.s_sequence_majorant_batch(xs[None], sp)[0] >= 10.0
 
 
 def test_freedman_scalar_examples():
@@ -226,6 +228,12 @@ def test_power_mean_check():
         lo = rng.uniform(0.2, 2.0)
         hi = lo + rng.uniform(0.0, 2.0)
         assert conc.power_mean_check(xs, lo, hi) >= -1e-12
+    # a batch reduces each row over the last axis
+    rows = rng.lognormal(0, 1, size=(50, 5))
+    batch = conc.power_mean_check(rows, 0.7, 1.9)
+    assert batch.shape == (50,)
+    np.testing.assert_allclose(
+        batch, [conc.power_mean_check(r, 0.7, 1.9) for r in rows], rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         conc.power_mean_check([1.0, -1.0], 1.0, 2.0)
 
@@ -252,14 +260,6 @@ def test_binomial_interval_matches_beta_ppf():
                 hi = 1.0 if successes == trials else float(
                     beta.ppf(1.0 - tail, successes + 1, trials - successes))
                 assert conc.binomial_interval(successes, trials, confidence) == (lo, hi)
-
-
-def test_coverage_test_infinite_bound():
-    rng = np.random.default_rng(8)
-    res = conc.coverage_test(lambda r: (r.random(), math.inf), 1000, rng)
-    assert res.coverage == 1.0
-    with pytest.raises(ValueError):
-        conc.coverage_test(lambda r: (0.0, 1.0), 10, rng)
 
 
 def test_clipped_pareto_second_moment_matches_mc():

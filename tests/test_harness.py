@@ -219,7 +219,7 @@ def test_theorem_checks_on_trajectory():
 
 def test_rate_sweep_slope_on_synthetic():
     cfg = small_config(T=100, seeds=2)
-    res = rate_sweep(cfg, [100, 400, 3200], n_seeds=2)
+    res = rate_sweep(cfg, [100, 400, 3200])
     assert res.horizons.size == 3
     assert np.all(res.avg_grad > 0)
     assert res.target == pytest.approx(-0.2)  # p = 1.5, first order
@@ -284,6 +284,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "T" in capsys.readouterr().err
 
 
+# an argument that the test replaces with the path of a file that exists
+_EXISTING_FILE = "<existing file>"
+
+
 @pytest.mark.parametrize("argv, ini, field", [
     (["run", "--seed", "-1"], None, "seed"),
     (["rate-sweep", "--T-grid", "1000,x"], None, "T-grid"),
@@ -300,12 +304,36 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     (["concentration", "--delta", "2"], None, "delta"),
     (["run"], "[run]\nalgorithm = ns%gd\n", "algorithm"),
     (["run", "--dim", "1000000000000", "--T", "10"], None, "dim, T, calib_samples"),
+    *(([command, "--out", _EXISTING_FILE], None, "out")
+      for command in ("run", "rate-sweep", "burn-in", "verify", "concentration")),
+    (["run", "--dim", "4611686018427387904", "--T", "10"], None, "dim"),
+    (["run", "--T", "100000000000000000000000", "--dim", "2"], None, "T"),
+    (["run"], "[noise]\ncalib_samples = 100000000000000000000\n", "calib_samples"),
+    (["run"], "[noise]\ncalib_samples = 1000000000000000000\n", "calib_samples, dim"),
+    (["run", "--noise-scale", "0"], "[problem]\nstart_value = 0\n",
+     "start_value, noise_scale"),
+    (["run", "--T", "2", "--b", "5"], None, "T, b"),
+    (["rate-sweep", "--T-grid", "10,100,1000", "--b", "5"], None, "T-grid, b"),
+    (["rate-sweep", "--T-grid", "1000,10000,100000000000000000000000"], None,
+     "T-grid"),
 ])
-def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, ini, field):
+def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
+                                                 argv, ini, field):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [str(taken) if arg == _EXISTING_FILE else arg for arg in argv]
     if ini is not None:
         path = tmp_path / "bad.ini"
         path.write_text(ini)
         argv = argv + ["--config", str(path)]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad input reached the work it configures")
+
+    # every input here is refused before a step, a suite check or a coverage run
+    monkeypatch.setattr("tailopt.harness.run_trajectory", no_work)
+    monkeypatch.setattr("tailopt.verify.run_verification_suite", no_work)
+    monkeypatch.setattr("tailopt.verify.coverage_report", no_work)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
@@ -397,8 +425,8 @@ def _plausible_value(flag):
     """Values of the flag's type, valid and not."""
     if flag in _CHOICE_FLAGS:
         return st.sampled_from(_CHOICE_FLAGS[flag])
-    if flag in _INT_FLAGS:
-        return st.integers(-2, 3000).map(str)
+    if flag in _INT_FLAGS:  # up to sizes no array can have
+        return st.integers(-2, 10**25).map(str)
     if flag == "--T-grid":
         return st.lists(st.integers(-10, 10**6).map(str), max_size=5).map(",".join)
     return st.one_of(st.floats(-1.0, 4.0).map(repr),
@@ -419,7 +447,7 @@ def _stub_runners(monkeypatch):
     compare = BurnInCompareResult(burn_in=0, final_f=per_mode, min_grad=per_mode,
                                   post_burn_in_violations=per_mode)
     monkeypatch.setattr(cli, "run", lambda cfg, plots=False: [])
-    monkeypatch.setattr(cli, "rate_sweep", lambda cfg, grid, n_seeds=None: sweep)
+    monkeypatch.setattr(cli, "rate_sweep", lambda cfg, grid: sweep)
     monkeypatch.setattr(cli, "burn_in_compare", lambda cfg: compare)
 
 
@@ -443,7 +471,8 @@ def test_fuzzed_argv_exits_0_1_or_2_naming_the_flag(tmp_path, monkeypatch,
             continue
         if flag == "--out":  # outputs stay inside the test's directory
             name = data.draw(st.text(alphabet="abc", min_size=1, max_size=3))
-            argv.append(str(tmp_path / "out" / name))
+            # a new or existing directory, or the path of a file
+            argv.append(str(data.draw(st.sampled_from([tmp_path / "out" / name, ini]))))
         elif flag == "--config":
             argv.append(str(data.draw(st.sampled_from([ini, tmp_path / "no.ini"]))))
         elif i == arbitrary:

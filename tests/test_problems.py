@@ -194,9 +194,9 @@ def test_heavy_tail_second_moment_grows():
     from tailopt.concentration import clipped_pareto_second_moment
 
     grow, stable = 0, 0
-    n_seeds = 10
+    n_streams = 10
     clip_ref = clipped_pareto_second_moment(1.5, 1.0, 100.0)
-    for seed in range(n_seeds):
+    for seed in range(n_streams):
         noise = HeavyTailNoise(p_moment=1.2, tail_index=1.5)
         rng = np.random.default_rng(1000 + seed)
         r = noise.sample_radii(rng, 10_000_000)
@@ -205,8 +205,8 @@ def test_heavy_tail_second_moment_grows():
             grow += 1
         if abs(np.mean(r ** 1.2) / np.mean(r[:n10] ** 1.2) - 1.0) <= 0.10:
             stable += 1
-    assert grow >= 0.8 * n_seeds
-    assert stable >= 0.8 * n_seeds
+    assert grow >= 0.8 * n_streams
+    assert stable >= 0.8 * n_streams
 
 
 def test_calibration_zero_noise():

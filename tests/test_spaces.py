@@ -17,7 +17,7 @@ def test_construction_rejects_bad_exponents():
     with pytest.raises(ValueError):
         NormedSpace(dim=3, primal_exponent=1.0)
     with pytest.raises(ValueError):
-        NormedSpace.from_dual_exponent(3, np.inf)
+        NormedSpace(dim=3, primal_exponent=np.nan)
     with pytest.raises(ValueError):
         NormedSpace(dim=0)
 
@@ -30,7 +30,7 @@ def test_conjugate_exponents_and_smooth_constant():
         assert sp.smooth_constant >= 1.0
         assert sp.smooth_constant == pytest.approx(1.0 / (sp.primal_exponent - 1.0))
     assert NormedSpace.euclidean(5).smooth_constant == 1.0
-    assert NormedSpace.from_dual_exponent(5, 3.0).primal_exponent == pytest.approx(1.5)
+    assert NormedSpace(dim=5, primal_exponent=1.5).dual_exponent == pytest.approx(3.0)
 
 
 def test_norm_examples():
