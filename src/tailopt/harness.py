@@ -189,7 +189,10 @@ class RunConfig:
                 continue
             for key, raw in parser.items(section):
                 if key not in names:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                    # the file, not a field, is at fault: a value with a
+                    # newline in it opens a key of its own
+                    raise ConfigError(f"config file {path}: unknown key {key!r} "
+                                      f"in section [{section}]")
                 setattr(cfg, key, _parse_field(key, raw, defaults[key]))
         return cfg
 

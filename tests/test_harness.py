@@ -59,7 +59,13 @@ def test_config_file_round_trip(tmp_path):
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[run]\nlearning_rate = 0.1\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        RunConfig.from_file(str(path))
+    assert str(err.value).startswith(f"config file {path}: ")
+    # a value with a newline in it opens a key the file names
+    path.write_text("[run]\nwarmup = \n0=\n")
+    with pytest.raises(ConfigError, match=f"config file {re.escape(str(path))}: "
+                                          "unknown key '0'"):
         RunConfig.from_file(str(path))
 
 
