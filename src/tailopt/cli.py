@@ -161,6 +161,12 @@ def _cmd_concentration(args) -> int:
     for flag in ("trials", "length"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
+        if getattr(args, flag) > MAX_ARRAY_LEN:
+            raise ConfigError(f"{flag}: must be at most {MAX_ARRAY_LEN}, "
+                              f"got {getattr(args, flag)}")
+    if args.trials * args.length > MAX_ARRAY_LEN:
+        raise ConfigError(f"trials, length: their product must be at most "
+                          f"{MAX_ARRAY_LEN} (the scalar coverage batch)")
     _check_seed_delta(args)
     make_output_dir(args.out)
     rows = coverage_report(args.trials, args.length, args.delta, seed=args.seed)
@@ -179,6 +185,14 @@ def _cmd_concentration(args) -> int:
         with open(os.path.join(args.out, "concentration_report.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0 if ok else 1
+
+
+# per command, the fields whose values size the arrays it allocates; the
+# sizes of verify's arrays are fixed
+_SIZE_FIELDS = {"run": "dim, T, calib_samples",
+                "rate-sweep": "dim, T-grid, calib_samples",
+                "burn-in": "dim, T, calib_samples",
+                "concentration": "trials, length"}
 
 
 def main(argv=None) -> int:
@@ -225,9 +239,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # the arrays a run allocates grow with these three fields
-        print(f"config error: dim, T, calib_samples: too large for the memory "
-              f"available ({exc})", file=sys.stderr)
+        if args.command not in _SIZE_FIELDS:
+            raise
+        print(f"config error: {_SIZE_FIELDS[args.command]}: too large for the "
+              f"memory available ({exc})", file=sys.stderr)
         return 2
 
 

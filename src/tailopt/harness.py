@@ -353,7 +353,8 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
      step_len, w_norm) = (np.empty(T) for _ in range(9))
     clipped = np.zeros(T, dtype=np.uint8)
     nigt = exp.config.algorithm == "nigt"
-    # reads z and i at call time: the current step's row of the block's noise
+    # nigt's oracle; reads z and i at call time: the current step's row of
+    # the block's noise
     oracle = lambda x: problem.gradient(x) + z[i]
     lrs = exp.lr_seq.tolist()
     rows = min(_BLOCK, T)
@@ -368,8 +369,8 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
                 state, info = extrapolated_step(state, oracle, hp, space, lr=lrs[t])
                 q_buf[i] = info.query
             else:
-                state, info = clipped_momentum_step(state, oracle(state.w), hp,
-                                                    space, lr=lrs[t])
+                state, info = clipped_momentum_step(
+                    state, problem.gradient(state.w) + z[i], hp, space, lr=lrs[t])
             m_buf[i] = state.m
             g_buf[i] = info.g_clip
             sample_norm[t] = info.sample_norm

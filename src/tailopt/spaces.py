@@ -26,6 +26,13 @@ Single vectors and batches share one arithmetic path: every row of a
 the same vector gets on its own, at every exponent.  Recording a
 trajectory's diagnostics block-wise therefore reproduces the per-step
 values exactly.
+
+A single vector, the optimizer's per-step case, settles its special cases
+on one Python float: when its largest magnitude (at q = 2 its sum of
+squares) is a finite normal float, the norm and the duality map run one
+ufunc per arithmetic operation and no masks; a zero, subnormal, infinite
+or NaN vector takes the batch path.  Every power stays an array ``power``
+on ``keepdims`` arrays, so the lean path keeps the batch path's bits.
 """
 
 from __future__ import annotations
@@ -66,19 +73,30 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
     or is NaN is max-factored instead, and in a batch only that row is.  A
     vector with an infinite component has norm inf; one with a NaN
     component, NaN.
+
+    A single vector decides this on one float, its largest magnitude (at
+    p = 2, its sum of squares): a finite normal float skips the masks and
+    the clamped factor, anything else takes the batch path.  The square
+    root is IEEE-exact, so ``math.sqrt`` has the bits of ``np.sqrt``; every
+    other power stays an array power.
     """
     if p == 2.0:
         ss = np.add.reduce(v * v, axis=-1, keepdims=True)
+        if v.ndim == 1:
+            s = ss.item()
+            if _TINY <= s < math.inf:  # a NaN fails both comparisons
+                return math.sqrt(s)
         out = np.sqrt(ss)
-        if ss.size == 1:
-            # a NaN fails both comparisons
-            if not _TINY <= ss.item() < math.inf:
-                out = _factored_norm(v, p)
-        else:
-            bad = ~((ss >= _TINY) & (ss < math.inf))[..., 0]
-            if bad.any():
-                out[bad] = _factored_norm(v[bad], p)
+        bad = ~((ss >= _TINY) & (ss < math.inf))[..., 0]
+        if bad.any():
+            out[bad] = _factored_norm(v[bad], p)
     else:
+        if v.ndim == 1:
+            a = np.abs(v)
+            m = float(np.maximum.reduce(a))
+            if _TINY <= m < math.inf:
+                s = np.add.reduce((a / m) ** p, keepdims=True)
+                return (m * s ** (1.0 / p)).item()
         out = _factored_norm(v, p)
     out = out[..., 0]
     return float(out) if out.ndim == 0 else out
@@ -155,6 +173,13 @@ class NormedSpace:
                 return v / n if n > 0.0 else np.zeros_like(v)
             n = np.asarray(n)[..., np.newaxis]
             return np.where(n > 0.0, v / np.where(n > 0.0, n, 1.0), 0.0)
+        if v.ndim == 1:
+            a = np.abs(v)
+            m = float(np.maximum.reduce(a))
+            if _TINY <= m < math.inf:
+                u = a / m
+                s = np.add.reduce(u ** r, keepdims=True)
+                return np.sign(v) * u ** (r - 1.0) / s ** ((r - 1.0) / r)
         m = np.abs(v).max(axis=-1, keepdims=True)
         safe = np.where(m > 0.0, m, 1.0)
         u = np.abs(v) / safe

@@ -322,6 +322,11 @@ _EXISTING_FILE = "<existing file>"
     (["rate-sweep", "--T-grid", "10,100,1000", "--b", "5"], None, "T-grid, b"),
     (["rate-sweep", "--T-grid", "1000,10000,100000000000000000000000"], None,
      "T-grid"),
+    (["concentration", "--trials", "10", "--length", "100000000000000000000"], None,
+     "length"),
+    (["concentration", "--trials", "100000000000000000000"], None, "trials"),
+    (["concentration", "--trials", "10000000000", "--length", "10000000000"], None,
+     "trials, length"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
                                                  argv, ini, field):
@@ -342,6 +347,13 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr("tailopt.verify.coverage_report", no_work)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_cli_concentration_out_of_memory_names_its_own_fields(capsys):
+    # addressable, but the (trials, length) sign flips need 8e16 bytes
+    assert cli.main(["concentration", "--trials", "100000000000000",
+                     "--length", "100"]) == 2
+    assert capsys.readouterr().err.startswith("config error: trials, length:")
 
 
 @pytest.mark.parametrize("ini", ["T = 5\n", "[run]\nT = 5\nT = 6\n", b"[run]\nout = \xff\n"])

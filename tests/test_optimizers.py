@@ -77,6 +77,21 @@ def test_step_zero_signal_takes_no_step():
     np.testing.assert_array_equal(state2.w, state.w)  # d(0) = 0 convention
 
 
+@pytest.mark.parametrize("p", [2.0, 1.5])
+@pytest.mark.parametrize("sample_dim", [1, 3])
+def test_step_rejects_sample_of_wrong_dim(p, sample_dim):
+    # a (1,) sample would broadcast against the (2,) momentum, so the step
+    # must check the dimension, not rely on the arithmetic to fail
+    sp = NormedSpace(dim=2, primal_exponent=p)
+    hp = _hp(beta=0.5, tau=5.0, lr=0.1)
+    state = init_state([1.0, 1.0])
+    sample = np.ones(sample_dim)
+    with pytest.raises(ValueError, match="dim"):
+        clipped_momentum_step(state, sample, hp, sp)
+    with pytest.raises(ValueError, match="dim"):
+        extrapolated_step(state, lambda x: sample, hp, sp)
+
+
 def test_step_hand_arithmetic():
     # beta=0.5, m=(1,0), g=(0,3), tau=2: clip -> (0,2), m' = (0.5, 1)
     sp = NormedSpace.euclidean(2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from tailopt.spaces import NormedSpace
@@ -233,6 +235,43 @@ def test_extreme_rows_keep_single_vector_bits(p):
             rows = fn(batch)
             for row, v in zip(rows, batch):
                 assert np.array_equal(row, fn(v), equal_nan=True), (fn.__name__, v)
+
+
+# signed zeros, subnormals, magnitudes from 1e-300 to 1e300, inf and NaN
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2e-308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@st.composite
+def _batches(draw):
+    dim = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.lists(_COMPONENTS, min_size=dim, max_size=dim),
+                         min_size=1, max_size=6))
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_batches())
+def test_fuzzed_single_vector_calls_keep_their_batch_row_bits(batch):
+    # a single vector whose largest magnitude is a finite normal float takes
+    # a lean path; every other vector takes the batch path.  Either way the
+    # call gives the bits, sign bit included, of the vector's batch row
+    def same(a, b):
+        return (np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a), np.signbit(b)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in SUPPORTED_PRIMALS:
+            sp = NormedSpace(dim=batch.shape[1], primal_exponent=p)
+            for fn in (sp.dual_norm, sp.primal_norm, sp.duality_map):
+                rows = fn(batch)
+                for row, v in zip(rows, batch):
+                    got = fn(v)
+                    if fn != sp.duality_map:
+                        assert type(got) is float, (fn.__name__, v)
+                    assert same(got, row), (fn.__name__, p, v)
 
 
 def test_batched_shapes():
