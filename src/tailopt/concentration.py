@@ -94,9 +94,8 @@ def s_sequence_majorant_batch(xs, space: NormedSpace) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     s = s_sequence_batch(xs, space)
     norms = np.asarray(space.dual_norm(xs))
-    p = space.smooth_power
-    tail = (np.max(norms ** p, axis=-1)
-            + space.smooth_constant * np.sum(norms ** p, axis=-1)) ** (1.0 / p)
+    tail = (np.max(norms ** 2.0, axis=-1)
+            + space.smooth_constant * np.sum(norms ** 2.0, axis=-1)) ** (1.0 / 2.0)
     return np.abs(np.sum(s, axis=-1)) + tail
 
 
@@ -127,13 +126,11 @@ def _hilbert_prefix_bounds(bound_as, sigmas, delta) -> np.ndarray:
     return 3.0 * bound_as * log_term + 3.0 * np.sqrt(cum * log_term)
 
 
-def _banach_prefix_bounds(bound_as, sigmas, delta, smooth_constant,
-                          smooth_power=2.0) -> np.ndarray:
+def _banach_prefix_bounds(bound_as, sigmas, delta, smooth_constant) -> np.ndarray:
     log_term = max(1.0, math.log(3.0 / delta))
-    p = smooth_power
-    cum = _prefix_totals(np.asarray(sigmas, dtype=float) ** p)
+    cum = _prefix_totals(np.asarray(sigmas, dtype=float) ** 2.0)
     return (5.0 * smooth_constant * bound_as * log_term
-            + 4.0 * (smooth_constant * cum) ** (1.0 / p) * math.sqrt(log_term))
+            + 4.0 * (smooth_constant * cum) ** (1.0 / 2.0) * math.sqrt(log_term))
 
 
 def freedman_scalar_bound(bound_as: float, variances, delta: float) -> float:
@@ -159,20 +156,17 @@ def freedman_hilbert_bound(bound_as: float, sigmas, delta: float) -> float:
 
 
 def freedman_banach_bound(bound_as: float, sigmas, delta: float,
-                          smooth_constant: float, smooth_power: float = 2.0) -> float:
-    """(p, C)-smooth-space Freedman bound in its simplified C >= 1 form.
+                          smooth_constant: float) -> float:
+    """(2, C)-smooth-space Freedman bound in its simplified C >= 1 form.
 
     5 C R max(1, log(3/delta))
-        + 4 (C sum sigma_t^p)^(1/p) sqrt(max(1, log(3/delta))),
+        + 4 (C sum sigma_t^2)^(1/2) sqrt(max(1, log(3/delta))),
     uniformly over prefixes, with overall failure probability delta.
     """
     _check_delta(delta)
     if smooth_constant < 1.0:
         raise ValueError(f"smooth constant must be >= 1, got {smooth_constant}")
-    if not (1.0 < smooth_power <= 2.0):
-        raise ValueError(f"smooth power must lie in (1, 2], got {smooth_power}")
-    return float(_banach_prefix_bounds(bound_as, sigmas, delta, smooth_constant,
-                                       smooth_power)[-1])
+    return float(_banach_prefix_bounds(bound_as, sigmas, delta, smooth_constant)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +179,8 @@ class WeightedStreamSpec:
 
     weights b_t in (0, 1] (B = max b_t <= 1), per-step moment bounds
     E||X_t||^p_moment <= moment_bounds[t]^p_moment, truncation threshold,
-    failure probability, and the smooth-space constants for the Banach
-    variant.
+    failure probability, and the smooth constant C of the (2, C)-smooth
+    space for the Banach variant.
     """
 
     weights: np.ndarray
@@ -194,7 +188,6 @@ class WeightedStreamSpec:
     threshold: float
     p_moment: float
     delta: float
-    smooth_power: float = 2.0
     smooth_constant: float = 1.0
 
     def __post_init__(self):
@@ -224,8 +217,8 @@ def truncated_sum_bound(spec: WeightedStreamSpec, variant: str = "hilbert") -> f
     - "hilbert":  4 B tau log(3/d) + sum b_t G_t^p / tau^(p-1)
                   + 2 sqrt(sum b_t^2 G_t^p tau^(2-p) max(1, log(3/d)))
     - "banach":   10 C B tau max(1, log(3/d)) + sum b_t G_t^p / tau^(p-1)
-                  + 4 (C sum b_t^q G_t^p tau^(q-p))^(1/q) sqrt(max(1, log(3/d)))
-      with q the smooth power of the space.
+                  + 4 (C sum b_t^2 G_t^p tau^(2-p))^(1/2) sqrt(max(1, log(3/d)))
+      in a (2, C)-smooth space.
     """
     b, g = spec.weights, spec.moment_bounds
     tau, p, delta = spec.threshold, spec.p_moment, spec.delta
@@ -237,11 +230,11 @@ def truncated_sum_bound(spec: WeightedStreamSpec, variant: str = "hilbert") -> f
         return (4.0 * b_max * tau * log_term + bias
                 + 2.0 * math.sqrt(var * max(1.0, log_term)))
     if variant == "banach":
-        q, c = spec.smooth_power, spec.smooth_constant
+        c = spec.smooth_constant
         log_term = max(1.0, math.log(3.0 / delta))
-        var = float(np.sum(b ** q * g ** p * tau ** (q - p)))
+        var = float(np.sum(b ** 2.0 * g ** p * tau ** (2.0 - p)))
         return (10.0 * c * b_max * tau * log_term + bias
-                + 4.0 * (c * var) ** (1.0 / q) * math.sqrt(log_term))
+                + 4.0 * (c * var) ** (1.0 / 2.0) * math.sqrt(log_term))
     raise ValueError(f"variant must be 'hilbert' or 'banach', got {variant!r}")
 
 
@@ -395,8 +388,7 @@ def freedman_vector_coverage(variant: str, trials: int, length: int, delta: floa
     if variant == "hilbert":
         bounds = _hilbert_prefix_bounds(clip, sigmas, delta)
     else:
-        bounds = _banach_prefix_bounds(clip, sigmas, delta,
-                                       space.smooth_constant, space.smooth_power)
+        bounds = _banach_prefix_bounds(clip, sigmas, delta, space.smooth_constant)
 
     def covered(n):
         xs = _clipped_pareto_vectors(rng, (n, length), tail_index, clip, space)
@@ -425,7 +417,6 @@ def truncated_sum_coverage(variant: str, trials: int, length: int, delta: float,
     spec = WeightedStreamSpec(weights=np.ones(length),
                               moment_bounds=np.full(length, g),
                               threshold=tau, p_moment=p_moment, delta=delta,
-                              smooth_power=space.smooth_power,
                               smooth_constant=space.smooth_constant)
     bound = truncated_sum_bound(spec, variant)
     mu = tail_index / (tail_index - 1.0)  # Pareto mean, scale 1

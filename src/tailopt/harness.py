@@ -29,7 +29,7 @@ import numpy as np
 from tailopt.analysis import fit_rate_exponent
 from tailopt.optimizers import (BurnInCertificate, HyperParams,
                                 burn_in_certificate, clipped_momentum_step,
-                                extrapolated_step, init_state, rate_exponent,
+                                extrapolation_point, init_state, rate_exponent,
                                 recommend_output, schedule, warmup_lr_schedule)
 from tailopt.problems import HeavyTailNoise, calibrate_grad_bound, make_problem
 from tailopt.spaces import NormedSpace
@@ -76,7 +76,7 @@ def make_output_dir(path: str | None) -> str | None:
     return path
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     algorithm: str = "nsgd"          # nsgd | nigt
     problem: str = "cosine_sum"      # cosine_sum | quadratic
@@ -182,8 +182,8 @@ class RunConfig:
             raise ConfigError(f"config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        cfg = cls()
         defaults = {f.name: f.default for f in fields(cls)}
+        values = {}
         for section, names in cls._SECTIONS.items():
             if not parser.has_section(section):
                 continue
@@ -193,8 +193,8 @@ class RunConfig:
                     # newline in it opens a key of its own
                     raise ConfigError(f"config file {path}: unknown key {key!r} "
                                       f"in section [{section}]")
-                setattr(cfg, key, _parse_field(key, raw, defaults[key]))
-        return cfg
+                values[key] = _parse_field(key, raw, defaults[key])
+        return cls(**values)
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser(interpolation=None)
@@ -239,6 +239,13 @@ class Experiment:
     lr_seq: np.ndarray
 
 
+def _burn_in(config: RunConfig, cert: BurnInCertificate, horizon: int) -> int:
+    """The hold length of "hold" warmup and the step after which descent
+    violations count: ``warmup_steps`` capped at the horizon, if set."""
+    return (cert.burn_in if config.warmup_steps is None
+            else min(config.warmup_steps, horizon))
+
+
 def build_experiment(config: RunConfig, horizon: int | None = None) -> Experiment:
     """Expand a config into runnable pieces; calibrates the moment bound.
 
@@ -270,11 +277,7 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
         raise ConfigError(f"{horizon_field}, b: {exc}") from exc
     cert = burn_in_certificate(hp, problem.lipschitz, problem.hessian_lipschitz,
                                space.smooth_constant)
-    if config.warmup == "hold" and config.warmup_steps is not None:
-        hold = replace(cert, burn_in=min(config.warmup_steps, T))
-        lr_seq = warmup_lr_schedule(hp, hold, "hold")
-    else:
-        lr_seq = warmup_lr_schedule(hp, cert, config.warmup)
+    lr_seq = warmup_lr_schedule(hp, _burn_in(config, cert, T), config.warmup)
     lr_seq.flags.writeable = False
     return Experiment(config=config, problem=problem, noise=noise, space=space,
                       hp=hp, cert=cert, lr_seq=lr_seq)
@@ -296,7 +299,6 @@ class Trajectory:
     eps: np.ndarray
     clipped: np.ndarray
     lr: np.ndarray
-    clip_norm: np.ndarray = field(repr=False)
     sample_norm: np.ndarray = field(repr=False)
     step_len: np.ndarray = field(repr=False)
     w_norm: np.ndarray = field(repr=False)
@@ -333,29 +335,26 @@ _BLOCK = 1024
 def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
     """Execute one seeded trajectory of the configured algorithm.
 
-    The step loop runs only the dynamics: the gradient at the query point
-    plus that step's noise, and the momentum step.  The oracle noise of a
-    block of ``_BLOCK`` steps is drawn before its steps, from the same
-    stream as one ``noise.sample`` call per step (see
-    ``HeavyTailNoise.draw_steps``).  Diagnostics are recorded block-wise:
-    each step stores w_t, m_t, the clipped sample and the query point in
-    buffers of ``_BLOCK`` rows, and once per block the objective, gradient
-    norm, momentum norm and error, sample error, step length and iterate
-    norm are each computed by one batched call.  A batch row gets the bits
-    of the single-vector call (see ``spaces``), so the values equal those of
-    per-step evaluation.
+    The step loop runs only the dynamics: the query point (w_t, or nigt's
+    extrapolated x_t), the gradient there plus that step's noise, and one
+    momentum step.  The oracle noise of a block of ``_BLOCK`` steps is drawn
+    before its steps, from the same stream as one ``noise.sample`` call per
+    step (see ``HeavyTailNoise.draw_steps``).  Diagnostics are recorded
+    block-wise: each step stores w_t, m_t, the clipped sample, its raw norm
+    and (nigt) the query point in buffers of ``_BLOCK`` rows, and once per
+    block the objective, gradient norm, momentum norm and error, sample
+    error, step length and iterate norm are each computed by one batched
+    call.  A batch row gets the bits of the single-vector call (see
+    ``spaces``), so the values equal those of per-step evaluation.  A step's
+    clip flag is its raw norm above tau.
     """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     T = hp.horizon
     rng = np.random.default_rng(seed)
     state = init_state(problem.start)
-    (objective, grad_norm, m_norm, eps_hat, eps, clip_norm, sample_norm,
-     step_len, w_norm) = (np.empty(T) for _ in range(9))
-    clipped = np.zeros(T, dtype=np.uint8)
+    (objective, grad_norm, m_norm, eps_hat, eps, sample_norm, step_len,
+     w_norm) = (np.empty(T) for _ in range(8))
     nigt = exp.config.algorithm == "nigt"
-    # nigt's oracle; reads z and i at call time: the current step's row of
-    # the block's noise
-    oracle = lambda x: problem.gradient(x) + z[i]
     lrs = exp.lr_seq.tolist()
     rows = min(_BLOCK, T)
     w_buf = np.empty((rows + 1, space.dim))  # w_t per row, then the next iterate
@@ -366,16 +365,14 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
         for i, t in enumerate(range(start, start + n)):
             w_buf[i] = state.w
             if nigt:
-                state, info = extrapolated_step(state, oracle, hp, space, lr=lrs[t])
-                q_buf[i] = info.query
+                query = q_buf[i] = extrapolation_point(state, hp.beta)
             else:
-                state, info = clipped_momentum_step(
-                    state, problem.gradient(state.w) + z[i], hp, space, lr=lrs[t])
+                query = state.w
+            state, info = clipped_momentum_step(
+                state, problem.gradient(query) + z[i], hp, space, lr=lrs[t])
             m_buf[i] = state.m
             g_buf[i] = info.g_clip
             sample_norm[t] = info.sample_norm
-            clip_norm[t] = info.clip_norm
-            clipped[t] = info.clipped
         w_buf[n] = state.w
         block, w, m = slice(start, start + n), w_buf[:n], m_buf[:n]
         grad = problem.gradient(w)
@@ -387,17 +384,18 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
         eps[block] = space.dual_norm(g_buf[:n] - query_grad)
         step_len[block] = space.primal_norm(w_buf[1:n + 1] - w)
         w_norm[block] = space.primal_norm(w)
+    clipped = (sample_norm > hp.tau).astype(np.uint8)
     traj = Trajectory(seed=seed, algorithm=exp.config.algorithm, hp=hp,
                       cert=exp.cert, steps=np.arange(1, T + 1),
                       objective=objective, grad_norm=grad_norm, m_norm=m_norm,
                       eps_hat=eps_hat, eps=eps, clipped=clipped,
-                      lr=exp.lr_seq, clip_norm=clip_norm,
-                      sample_norm=sample_norm, step_len=step_len, w_norm=w_norm,
+                      lr=exp.lr_seq, sample_norm=sample_norm,
+                      step_len=step_len, w_norm=w_norm,
                       final_w=state.w.copy(), final_f=float(problem.value(state.w)),
                       selected_step=recommend_output(m_norm, exp.cert.burn_in))
     for arr in (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
-                traj.eps_hat, traj.eps, traj.clipped, traj.lr, traj.clip_norm,
-                traj.sample_norm, traj.step_len, traj.w_norm, traj.final_w):
+                traj.eps_hat, traj.eps, traj.clipped, traj.lr, traj.sample_norm,
+                traj.step_len, traj.w_norm, traj.final_w):
         arr.flags.writeable = False
     return traj
 
@@ -427,8 +425,9 @@ def check_trajectory_invariants(traj: Trajectory,
                     <= 1e-12 * np.maximum(traj.lr[moving], 1e-300) + float_floor)
     ok_ball = np.all(traj.m_norm <= hp.tau * (1.0 + 1e-12))
     was_clipped = traj.clipped.astype(bool)
-    ok_tau = (np.all(np.abs(traj.clip_norm[was_clipped] - hp.tau) <= 1e-9 * hp.tau)
-              and np.all(traj.clip_norm[~was_clipped] <= hp.tau * (1.0 + 1e-12)))
+    clip_norm = np.minimum(traj.sample_norm, traj.hp.tau)
+    ok_tau = (np.all(np.abs(clip_norm[was_clipped] - hp.tau) <= 1e-9 * hp.tau)
+              and np.all(clip_norm[~was_clipped] <= hp.tau * (1.0 + 1e-12)))
     return {"step_length": bool(ok_len), "momentum_ball": bool(ok_ball),
             "tau_consistency": bool(ok_tau)}
 
@@ -560,7 +559,7 @@ def run(config: RunConfig, plots: bool = False) -> list[Trajectory]:
 # sweeps and comparisons
 
 
-@dataclass
+@dataclass(frozen=True)
 class RateSweepResult:
     horizons: np.ndarray
     avg_grad: np.ndarray     # seed-averaged mean_t ||grad F(w_t)||
@@ -595,7 +594,7 @@ def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
                            slope=slope, stderr=stderr, target=-target)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BurnInCompareResult:
     burn_in: int
     final_f: dict[str, np.ndarray]          # mode -> per-seed final objective
@@ -631,8 +630,7 @@ def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
     for mode in ("none", "hold"):
         cfg = replace(config, warmup=mode)
         exp = build_experiment(cfg)
-        burn_in = exp.cert.burn_in if cfg.warmup_steps is None else \
-            min(cfg.warmup_steps, exp.hp.horizon)
+        burn_in = _burn_in(cfg, exp.cert, exp.hp.horizon)
         trajs = [run_trajectory(exp, s) for s in seeds]
         final_f[mode] = np.array([t.final_f for t in trajs])
         min_grad[mode] = np.array([t.grad_norm.min() for t in trajs])

@@ -1,15 +1,18 @@
-"""Clipped, normalized momentum steppers and their certified schedules.
+"""Clipped, normalized momentum stepping and its certified schedules.
 
-Two update rules share one momentum core.  With a fresh gradient sample g
-at the query point, clip threshold tau and mixing weight alpha = 1 - beta:
+One update rule.  With a fresh gradient sample g at the query point, clip
+threshold tau and mixing weight alpha = 1 - beta:
 
     m_t = beta * m_{t-1} + (1 - beta) * clip(g, tau)
     w_{t+1} = w_t - lr * d(m_t)
 
-``clipped_momentum_step`` queries at the current iterate w_t.
-``extrapolated_step`` queries at x_t = w_t + beta (w_t - w_{t-1}) / (1-beta),
-which cancels the Hessian-level momentum bias on second-order-smooth
-objectives; at beta = 0 the two rules coincide step for step.
+``clipped_momentum_step`` applies it to a sample the caller drew at the
+query point of its choice: the current iterate w_t for the first-order
+method (nsgd), or the extrapolated point
+x_t = w_t + beta (w_t - w_{t-1}) / (1 - beta) of ``extrapolation_point``
+for the second-order method (nigt), which cancels the Hessian-level
+momentum bias on second-order-smooth objectives.  At beta = 0 the two
+query points coincide, and so do the methods step for step.
 
 ``schedule`` pins alpha, lr and tau to the horizon:
 
@@ -45,7 +48,6 @@ __all__ = [
     "rate_exponent",
     "init_state",
     "clipped_momentum_step",
-    "extrapolated_step",
     "extrapolation_point",
     "burn_in_certificate",
     "recommend_output",
@@ -126,45 +128,34 @@ def schedule(horizon: int, p_moment: float, grad_bound: float, delta: float,
 # Named tuples rather than frozen dataclasses: both are immutable, and a
 # tuple is built in about a third of the time, once per step each.
 class OptimizerState(NamedTuple):
-    step: int           # number of completed steps
     w: np.ndarray       # current iterate
     w_prev: np.ndarray  # previous iterate (equals w before the first step)
     m: np.ndarray       # momentum, a dual vector
 
 
 class StepInfo(NamedTuple):
-    sample_norm: float   # dual norm of the raw gradient sample
-    clip_norm: float     # dual norm after clipping
-    clipped: bool        # whether the threshold was active
-    query: np.ndarray    # point the oracle was evaluated at
+    sample_norm: float   # dual norm of the raw sample; clipped iff above tau
     g_clip: np.ndarray   # the clipped sample fed into the momentum
 
 
 def init_state(w_start) -> OptimizerState:
     w = np.asarray(w_start, dtype=float).copy()
-    return OptimizerState(0, w, w.copy(), np.zeros_like(w))
-
-
-def _momentum_update(state: OptimizerState, sample: np.ndarray, hp: HyperParams,
-                     space: NormedSpace, lr: float,
-                     query: np.ndarray) -> tuple[OptimizerState, StepInfo]:
-    sample = np.asarray(sample, dtype=float)
-    sample_norm = float(space.dual_norm(sample))
-    clipped = sample_norm > hp.tau
-    # same arithmetic as space.clip_dual, reusing the norm computed above
-    g_clip = sample * (hp.tau / sample_norm) if clipped else sample
-    m = hp.beta * state.m + (1.0 - hp.beta) * g_clip
-    w_next = state.w - lr * space.duality_map(m)
-    info = StepInfo(sample_norm, min(sample_norm, hp.tau), clipped, query, g_clip)
-    return OptimizerState(state.step + 1, w_next, state.w, m), info
+    return OptimizerState(w, w.copy(), np.zeros_like(w))
 
 
 def clipped_momentum_step(state: OptimizerState, sample, hp: HyperParams,
                           space: NormedSpace,
                           lr: float | None = None) -> tuple[OptimizerState, StepInfo]:
-    """One normalized momentum step; ``sample`` was drawn at ``state.w``."""
-    return _momentum_update(state, sample, hp, space,
-                            hp.lr if lr is None else lr, state.w)
+    """One normalized momentum step on ``sample``, a stochastic gradient the
+    caller drew at its query point: ``state.w``, or
+    ``extrapolation_point(state, hp.beta)``."""
+    sample = np.asarray(sample, dtype=float)
+    sample_norm = float(space.dual_norm(sample))
+    # same arithmetic as space.clip_dual, reusing the norm computed above
+    g_clip = sample * (hp.tau / sample_norm) if sample_norm > hp.tau else sample
+    m = hp.beta * state.m + (1.0 - hp.beta) * g_clip
+    w_next = state.w - (hp.lr if lr is None else lr) * space.duality_map(m)
+    return OptimizerState(w_next, state.w, m), StepInfo(sample_norm, g_clip)
 
 
 def extrapolation_point(state: OptimizerState, beta: float) -> np.ndarray:
@@ -174,16 +165,6 @@ def extrapolation_point(state: OptimizerState, beta: float) -> np.ndarray:
     if beta == 0.0:
         return state.w.copy()
     return state.w + (beta / (1.0 - beta)) * (state.w - state.w_prev)
-
-
-def extrapolated_step(state: OptimizerState, oracle, hp: HyperParams,
-                      space: NormedSpace,
-                      lr: float | None = None) -> tuple[OptimizerState, StepInfo]:
-    """One step querying the stochastic oracle at the extrapolated point."""
-    query = extrapolation_point(state, hp.beta)
-    sample = oracle(query)
-    return _momentum_update(state, sample, hp, space,
-                            hp.lr if lr is None else lr, query)
 
 
 @dataclass(frozen=True)
@@ -239,8 +220,8 @@ def recommend_output(momentum_norms, burn_in: int) -> int:
     return start + int(np.argmin(norms[start - 1:]))
 
 
-def warmup_lr_schedule(hp: HyperParams, cert: BurnInCertificate, mode: str) -> np.ndarray:
-    """Per-step learning rates: constant, or zero through the burn-in.
+def warmup_lr_schedule(hp: HyperParams, burn_in: int, mode: str) -> np.ndarray:
+    """Per-step learning rates: constant, or zero through ``burn_in`` steps.
 
     In "hold" mode the iterate is frozen while momentum keeps accumulating
     clipped gradients, the analogue of running warm-up at learning rate 0.
@@ -249,6 +230,6 @@ def warmup_lr_schedule(hp: HyperParams, cert: BurnInCertificate, mode: str) -> n
     if mode == "none":
         return lrs
     if mode == "hold":
-        lrs[:min(cert.burn_in, hp.horizon)] = 0.0
+        lrs[:burn_in] = 0.0
         return lrs
     raise ValueError(f"warmup mode must be 'none' or 'hold', got {mode!r}")

@@ -102,6 +102,30 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _factored_map(v: np.ndarray, r: float) -> np.ndarray:
+    """Duality map of the l_r dual along the last axis, max-factored.
+
+    A row with k infinite components and no NaN maps to the duality map of
+    sign(v) * isinf(v): sign(v_i) k^(-1/p) on those components (1/p + 1/r
+    = 1) and 0 elsewhere, a unit vector whose pairing with v is inf.  A row
+    with a NaN component maps to NaN.
+    """
+    m = np.abs(v).max(axis=-1, keepdims=True)
+    finite = m < math.inf  # a NaN row has m = NaN, which fails it
+    if not finite.all():
+        inf = np.isinf(v)
+        k = np.maximum(np.count_nonzero(inf, axis=-1, keepdims=True), 1)
+        d = np.where(inf, np.sign(v) * k ** ((1.0 - r) / r), 0.0)
+        d = np.where(np.isnan(m), np.nan, d)
+        return np.where(finite, _factored_map(np.where(finite, v, 0.0), r), d)
+    safe = np.where(m > 0.0, m, 1.0)
+    u = np.abs(v) / safe
+    s = (u ** r).sum(axis=-1, keepdims=True)
+    denom = np.where(s > 0.0, s, 1.0) ** ((r - 1.0) / r)
+    d = np.sign(v) * u ** (r - 1.0) / denom
+    return np.where(m > 0.0, d, 0.0)
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """An l_p primal / l_r dual norm pair on R^dim.
@@ -119,7 +143,6 @@ class NormedSpace:
     dim: int
     primal_exponent: float = 2.0
     dual_exponent: float = field(init=False)
-    smooth_power: float = field(init=False, default=2.0)
     smooth_constant: float = field(init=False)
 
     def __post_init__(self):
@@ -164,15 +187,22 @@ class NormedSpace:
 
         Componentwise d(v)_i = sign(v_i) |v_i|^(r-1) / ||v||_r^(r-1).  The
         zero convention means an optimizer takes no step on zero signal.
+        A vector with infinite components points along them (see
+        ``_factored_map``); one with a NaN component maps to NaN.
         """
         v = self._check_dim(v)
         r = self.dual_exponent
         if r == 2.0:
             n = _lp_norm(v, 2.0)
             if v.ndim == 1:
-                return v / n if n > 0.0 else np.zeros_like(v)
+                # a zero vector, a norm that overflowed, an infinite or NaN one
+                return v / n if 0.0 < n < math.inf else _factored_map(v, r)
             n = np.asarray(n)[..., np.newaxis]
-            return np.where(n > 0.0, v / np.where(n > 0.0, n, 1.0), 0.0)
+            finite = n < math.inf
+            ok = finite & (n > 0.0)
+            d = np.where(ok, v / np.where(ok, n, 1.0), 0.0)
+            # a norm that overflowed, or an infinite or NaN row
+            return d if finite.all() else np.where(finite, d, _factored_map(v, r))
         if v.ndim == 1:
             a = np.abs(v)
             m = float(np.maximum.reduce(a))
@@ -180,13 +210,7 @@ class NormedSpace:
                 u = a / m
                 s = np.add.reduce(u ** r, keepdims=True)
                 return np.sign(v) * u ** (r - 1.0) / s ** ((r - 1.0) / r)
-        m = np.abs(v).max(axis=-1, keepdims=True)
-        safe = np.where(m > 0.0, m, 1.0)
-        u = np.abs(v) / safe
-        s = (u ** r).sum(axis=-1, keepdims=True)
-        denom = np.where(s > 0.0, s, 1.0) ** ((r - 1.0) / r)
-        d = np.sign(v) * u ** (r - 1.0) / denom
-        return np.where(m > 0.0, d, 0.0)
+        return _factored_map(v, r)
 
     def clip_dual(self, v, threshold: float) -> np.ndarray:
         """Rescale v to dual norm at most ``threshold``, keeping direction.

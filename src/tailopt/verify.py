@@ -58,7 +58,7 @@ DEFAULT_SIZES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     samples: int

@@ -90,8 +90,6 @@ def test_freedman_banach_examples():
         5.0 * 2.0 * 1.5 * math.log(30.0), rel=1e-14)
     with pytest.raises(ValueError):
         conc.freedman_banach_bound(1.0, np.ones(4), 0.1, 0.5)
-    with pytest.raises(ValueError):
-        conc.freedman_banach_bound(1.0, np.ones(4), 0.1, 1.0, smooth_power=3.0)
 
 
 def test_freedman_banach_dominates_hilbert_at_c1():
@@ -139,7 +137,7 @@ def test_truncated_sum_bound_example():
 def test_truncated_sum_bound_banach_arithmetic():
     spec = conc.WeightedStreamSpec(weights=[1.0, 0.5], moment_bounds=[2.0, 1.0],
                                    threshold=3.0, p_moment=1.5, delta=0.1,
-                                   smooth_power=2.0, smooth_constant=2.0)
+                                   smooth_constant=2.0)
     log_term = math.log(30.0)
     bias = (1.0 * 2.0 ** 1.5 + 0.5 * 1.0) / 3.0 ** 0.5
     var = 1.0 ** 2 * 2.0 ** 1.5 * 3.0 ** 0.5 + 0.5 ** 2 * 1.0 * 3.0 ** 0.5

@@ -16,7 +16,7 @@ from tailopt.harness import (_BLOCK, CSV_HEADER, BurnInCompareResult,
                              check_trajectory_invariants, descent_check,
                              eps_hat_check, last_iterate_check, rate_sweep,
                              run, run_trajectory, write_trajectory_csv)
-from tailopt.optimizers import (clipped_momentum_step, extrapolated_step,
+from tailopt.optimizers import (clipped_momentum_step, extrapolation_point,
                                 init_state, recommend_output)
 from tailopt.problems import HeavyTailNoise
 
@@ -84,28 +84,27 @@ def _per_step_reference(exp, seed):
     """The trajectory recorded step by step, with single-vector calls."""
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     rng = np.random.default_rng(seed)
-    oracle = lambda x: noise.sample(problem, space, x, rng)
     state = init_state(problem.start)
     rec = {name: [] for name in ("objective", "grad_norm", "m_norm", "eps_hat",
-                                 "eps", "clipped", "clip_norm", "sample_norm",
-                                 "step_len", "w_norm")}
+                                 "eps", "clipped", "sample_norm", "step_len",
+                                 "w_norm")}
     for t in range(hp.horizon):
         w_t = state.w
         grad_t = problem.gradient(w_t)
         if exp.config.algorithm == "nigt":
-            state, info = extrapolated_step(state, oracle, hp, space, lr=exp.lr_seq[t])
-            query_grad = problem.gradient(info.query)
+            query = extrapolation_point(state, hp.beta)
         else:
-            state, info = clipped_momentum_step(state, oracle(w_t), hp, space,
-                                                lr=exp.lr_seq[t])
-            query_grad = grad_t
+            query = w_t
+        state, info = clipped_momentum_step(
+            state, noise.sample(problem, space, query, rng), hp, space,
+            lr=exp.lr_seq[t])
+        query_grad = problem.gradient(query)
         for name, value in (("objective", problem.value(w_t)),
                             ("grad_norm", space.dual_norm(grad_t)),
                             ("m_norm", space.dual_norm(state.m)),
                             ("eps_hat", space.dual_norm(state.m - grad_t)),
                             ("eps", space.dual_norm(info.g_clip - query_grad)),
-                            ("clipped", info.clipped),
-                            ("clip_norm", info.clip_norm),
+                            ("clipped", info.sample_norm > hp.tau),
                             ("sample_norm", info.sample_norm),
                             ("step_len", space.primal_norm(state.w - w_t)),
                             ("w_norm", space.primal_norm(w_t))):
@@ -554,6 +553,8 @@ def test_records_immutable_after_run():
         traj.m_norm[:] = 0.0
     with pytest.raises(FrozenInstanceError):
         traj.selected_step = 1
+    with pytest.raises(FrozenInstanceError):
+        exp.config.T = 10
 
 
 def test_run_matches_run_trajectory_seed_for_seed():

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tailopt.optimizers import (BurnInCertificate, burn_in_certificate,
-                                clipped_momentum_step, extrapolated_step,
+from tailopt.optimizers import (burn_in_certificate, clipped_momentum_step,
                                 extrapolation_point, init_state,
                                 rate_exponent, recommend_output, schedule,
                                 schedule_exponents, warmup_lr_schedule)
@@ -65,7 +64,8 @@ def test_step_plain_normalized_sgd():
     g = np.array([3.0, 4.0])
     state2, info = clipped_momentum_step(state, g, hp, sp)
     np.testing.assert_allclose(state2.w, [1.0 - 0.5 * 0.6, 1.0 - 0.5 * 0.8], rtol=1e-15)
-    assert not info.clipped
+    assert info.sample_norm == 5.0 <= hp.tau  # not clipped
+    np.testing.assert_array_equal(info.g_clip, g)
     np.testing.assert_array_equal(state2.w_prev, [1.0, 1.0])
 
 
@@ -84,12 +84,12 @@ def test_step_rejects_sample_of_wrong_dim(p, sample_dim):
     # must check the dimension, not rely on the arithmetic to fail
     sp = NormedSpace(dim=2, primal_exponent=p)
     hp = _hp(beta=0.5, tau=5.0, lr=0.1)
-    state = init_state([1.0, 1.0])
-    sample = np.ones(sample_dim)
-    with pytest.raises(ValueError, match="dim"):
-        clipped_momentum_step(state, sample, hp, sp)
-    with pytest.raises(ValueError, match="dim"):
-        extrapolated_step(state, lambda x: sample, hp, sp)
+    state = init_state([1.0, 1.0])._replace(w_prev=np.array([0.0, 2.0]))
+    # nsgd queries w_t, nigt the extrapolated point
+    for query in (state.w, extrapolation_point(state, hp.beta)):
+        sample = np.full(sample_dim, query[0])
+        with pytest.raises(ValueError, match="dim"):
+            clipped_momentum_step(state, sample, hp, sp)
 
 
 def test_step_hand_arithmetic():
@@ -101,7 +101,9 @@ def test_step_hand_arithmetic():
     np.testing.assert_allclose(state2.m, [0.5, 1.0], rtol=1e-15)
     n = math.hypot(0.5, 1.0)
     np.testing.assert_allclose(state2.w, -0.1 * np.array([0.5, 1.0]) / n, rtol=1e-14)
-    assert info.clipped and info.clip_norm == pytest.approx(2.0)
+    assert info.sample_norm == 3.0 > hp.tau  # clipped
+    assert min(info.sample_norm, hp.tau) == 2.0
+    assert sp.dual_norm(info.g_clip) == pytest.approx(2.0)
 
 
 def test_extrapolation_point_cases():
@@ -115,31 +117,26 @@ def test_extrapolation_point_cases():
 
 
 def test_extrapolated_equals_plain_at_beta_zero():
+    # the same noise added to the gradient at each rule's own query point
+    prob = make_problem("cosine_sum", 3)
     sp = NormedSpace.euclidean(3)
     hp = _hp(beta=0.0, tau=5.0, lr=0.3)
     rng = np.random.default_rng(4)
-    samples = rng.standard_normal((20, 3))
+    noise = rng.standard_normal((20, 3))
     sa = init_state(np.ones(3))
     sb = init_state(np.ones(3))
-    for g in samples:
-        sa, _ = clipped_momentum_step(sa, g, hp, sp)
-        sb, _ = extrapolated_step(sb, lambda x, g=g: g, hp, sp)
+    for z in noise:
+        sa, _ = clipped_momentum_step(sa, prob.gradient(sa.w) + z, hp, sp)
+        query = extrapolation_point(sb, hp.beta)
+        sb, _ = clipped_momentum_step(sb, prob.gradient(query) + z, hp, sp)
         np.testing.assert_array_equal(sa.w, sb.w)
         np.testing.assert_array_equal(sa.m, sb.m)
 
 
 def test_extrapolated_first_query_is_start():
-    sp = NormedSpace.euclidean(2)
     hp = _hp(beta=0.9, tau=5.0, lr=0.3)
     state = init_state([2.0, 2.0])
-    queries = []
-
-    def oracle(x):
-        queries.append(x.copy())
-        return np.array([1.0, 0.0])
-
-    extrapolated_step(state, oracle, hp, sp)
-    np.testing.assert_array_equal(queries[0], [2.0, 2.0])
+    np.testing.assert_array_equal(extrapolation_point(state, hp.beta), [2.0, 2.0])
 
 
 def test_extrapolated_deterministic_quadratic_hand_recursion():
@@ -150,7 +147,8 @@ def test_extrapolated_deterministic_quadratic_hand_recursion():
     state = init_state(prob.start)
     got_w = []
     for _ in range(5):
-        state, _ = extrapolated_step(state, lambda x: prob.gradient(x), hp, sp)
+        query = extrapolation_point(state, hp.beta)
+        state, _ = clipped_momentum_step(state, prob.gradient(query), hp, sp)
         got_w.append(state.w[0])
     # hand recursion
     w, w_prev, m = 3.0, 3.0, 0.0
@@ -247,20 +245,13 @@ def test_recommend_output():
 
 def test_warmup_schedules():
     hp = schedule(horizon=8, p_moment=2.0, grad_bound=1.0, delta=0.1)
-    cert0 = _cert_with_burn_in(hp, 0)
-    np.testing.assert_array_equal(warmup_lr_schedule(hp, cert0, "none"),
+    np.testing.assert_array_equal(warmup_lr_schedule(hp, 0, "none"),
                                   np.full(8, hp.lr))
-    np.testing.assert_array_equal(warmup_lr_schedule(hp, cert0, "hold"),
-                                  warmup_lr_schedule(hp, cert0, "none"))
-    cert5 = _cert_with_burn_in(hp, 5)
-    lrs = warmup_lr_schedule(hp, cert5, "hold")
+    np.testing.assert_array_equal(warmup_lr_schedule(hp, 0, "hold"),
+                                  warmup_lr_schedule(hp, 0, "none"))
+    lrs = warmup_lr_schedule(hp, 5, "hold")
     np.testing.assert_array_equal(lrs, [0, 0, 0, 0, 0, hp.lr, hp.lr, hp.lr])
+    np.testing.assert_array_equal(warmup_lr_schedule(hp, 5, "none"),
+                                  np.full(8, hp.lr))
     with pytest.raises(ValueError):
-        warmup_lr_schedule(hp, cert5, "linear")
-
-
-def _cert_with_burn_in(hp, burn_in):
-    return BurnInCertificate(order=hp.order, log_factor=1.0, concentration_factor=15.0,
-                             error_scale=1.0, burn_in=burn_in,
-                             momentum_error_bound=1.0, momentum_threshold=1.0,
-                             delta=hp.delta)
+        warmup_lr_schedule(hp, 5, "linear")

@@ -28,7 +28,6 @@ def test_conjugate_exponents_and_smooth_constant():
     for p in [2.0, 1.5, 1.2, 1.8]:
         sp = NormedSpace(dim=4, primal_exponent=p)
         assert 1.0 / sp.primal_exponent + 1.0 / sp.dual_exponent == pytest.approx(1.0, abs=1e-15)
-        assert sp.smooth_power == 2.0
         assert sp.smooth_constant >= 1.0
         assert sp.smooth_constant == pytest.approx(1.0 / (sp.primal_exponent - 1.0))
     assert NormedSpace.euclidean(5).smooth_constant == 1.0
@@ -203,6 +202,31 @@ def test_infinite_component_gives_infinite_norm(p):
         assert math.isnan(rows[4])
         # with an infinite row in the batch, q = 2 takes the max-factored path
         assert rows[0] == pytest.approx(fn(batch[0]), rel=1e-15)
+    # the duality map of k infinite components: sign(v_i) k^(-1/p) there and
+    # 0 elsewhere, the map of sign(v) * isinf(v), a unit vector pairing to
+    # inf with v; a NaN row maps to NaN
+    c = 2.0 ** (-1.0 / p)
+    cases = [([np.inf, 1.0, 1.0], [1.0, 0.0, 0.0]),
+             ([0.0, -np.inf, 0.0], [0.0, -1.0, 0.0]),
+             ([-np.inf, 2.0, np.inf], [-c, 0.0, c]),
+             ([np.nan, 1.0, 1.0], [np.nan] * 3),
+             ([np.nan, np.inf, 1.0], [np.nan] * 3)]
+    batch = np.array([[1.0, 2.0, 3.0]] + [v for v, _ in cases])
+    rows = sp.duality_map(batch)
+    assert np.array_equal(rows[0], sp.duality_map(batch[0]))
+    for row, (v, expect) in zip(rows[1:], cases):
+        d = sp.duality_map(v)
+        np.testing.assert_allclose(d, expect, rtol=1e-15)
+        assert np.array_equal(d, row, equal_nan=True), v
+        if not np.isnan(d).any():
+            assert sp.primal_norm(d) == pytest.approx(1.0, rel=1e-15)
+            assert sp.pairing(v, d) == np.inf
+    # a finite vector whose norm overflows still maps to a unit vector
+    v = np.array([1.5e308, -1.5e308, 0.0])
+    with np.errstate(over="ignore"):  # q = 2 squares before it max-factors
+        d = sp.duality_map(v)
+        assert np.array_equal(d, sp.duality_map(np.array([[1.0, 0.0, 0.0], v]))[1])
+    np.testing.assert_allclose(d, [c, -c, 0.0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
