@@ -246,12 +246,21 @@ def _burn_in(config: RunConfig, cert: BurnInCertificate, horizon: int) -> int:
             else min(config.warmup_steps, horizon))
 
 
+def _require_finite(fields: str, constant: str, value: float) -> None:
+    """Refuse a derived constant that overflowed, naming the fields it
+    is computed from."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{fields}: {constant} is {value}, not finite")
+
+
 def build_experiment(config: RunConfig, horizon: int | None = None) -> Experiment:
     """Expand a config into runnable pieces; calibrates the moment bound.
 
     Calibration uses its own substream of the base seed so that per-seed
     trajectory streams stay untouched, and happens once per experiment so
-    every seed shares the same schedule.
+    every seed shares the same schedule.  A config whose G, tau, log factor
+    or descent threshold is not finite raises a ConfigError naming the
+    fields that constant is computed from.
     """
     config.validate()
     T = config.T if horizon is None else horizon
@@ -262,21 +271,37 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
     noise = HeavyTailNoise(p_moment=config.p_moment, tail_index=config.tail_index,
                            scale=config.noise_scale)
     calib_rng = np.random.default_rng([config.seed, 0x0CA11B])
-    grad_bound = calibrate_grad_bound(problem, noise, space, calib_rng,
-                                      n_samples=config.calib_samples,
-                                      safety=config.safety)
+    # a calibration that overflows gives a G that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_bound = calibrate_grad_bound(problem, noise, space, calib_rng,
+                                          n_samples=config.calib_samples,
+                                          safety=config.safety)
     if grad_bound == 0.0:
         raise ConfigError("start_value, noise_scale: the gradient moment bound is 0 "
                           "(no noise at a stationary start), so no schedule exists")
+    # the fields that scale G: the gradient at the start, the noise, the safety
+    g_fields = ("amplitude" if config.problem == "cosine_sum"
+                else "eig_max, start_value") + ", noise_scale, safety"
+    _require_finite(g_fields, "the gradient moment bound G", grad_bound)
+    horizon_field = "T" if horizon is None else "T-grid"
     try:
         hp = schedule(T, config.p_moment, grad_bound, config.delta,
                       order=config.schedule_order, alpha_scale=config.b,
                       lr_scale=config.s)
     except ValueError as exc:  # alpha above 1: the horizon is too short for b
-        horizon_field = "T" if horizon is None else "T-grid"
         raise ConfigError(f"{horizon_field}, b: {exc}") from exc
-    cert = burn_in_certificate(hp, problem.lipschitz, problem.hessian_lipschitz,
-                               space.smooth_constant)
+    _require_finite(f"{horizon_field}, b, {g_fields}", "the clip threshold tau",
+                    hp.tau)
+    try:
+        cert = burn_in_certificate(hp, problem.lipschitz, problem.hessian_lipschitz,
+                                   space.smooth_constant)
+    except (OverflowError, ZeroDivisionError) as exc:  # s^2 or b^2 out of range
+        raise ConfigError("s, b: s^2 / b^2 in the second-order burn-in "
+                          "certificate is beyond the float range") from exc
+    _require_finite(f"{horizon_field}, delta", "the log factor log(3T/delta)",
+                    cert.log_factor)
+    _require_finite(f"s, b, {g_fields}", "the descent threshold",
+                    cert.momentum_threshold)
     lr_seq = warmup_lr_schedule(hp, _burn_in(config, cert, T), config.warmup)
     lr_seq.flags.writeable = False
     return Experiment(config=config, problem=problem, noise=noise, space=space,

@@ -202,7 +202,8 @@ def burn_in_certificate(hp: HyperParams, lipschitz: float, hessian_lipschitz: fl
         raw = (T ** a_exp / b) * (r_exp * math.log(T) + math.log(G) - math.log(Z))
     else:
         raw = 0.0  # degenerate zero-noise / zero-smoothness geometry
-    burn_in = int(min(max(math.ceil(raw), 0), T))
+    # clamped before rounding up, so a raw count that overflowed is 0 or T
+    burn_in = math.ceil(min(raw, T)) if raw > 0.0 else 0
     err = 2.0 * Z / T ** r_exp
     thresh = 2.0 * (6.0 * Z / T ** r_exp + lipschitz * s / (2.0 * T ** lr_exp))
     return BurnInCertificate(order=hp.order, log_factor=D, concentration_factor=K,

@@ -156,9 +156,16 @@ def pareto_moment(tail_index: float, scale: float, order: float) -> float:
 
 def pareto_radii(rng: np.random.Generator, shape, tail_index: float,
                  scale: float = 1.0) -> np.ndarray:
-    """Pareto(tail_index, scale) radii of the given shape, by inversion."""
+    """Pareto(tail_index, scale) radii of the given shape, by inversion.
+
+    Computes scale * (1 - U)^(-1/tail_index) in the uniform draw's own
+    buffer, so a draw of n radii holds one array of n floats.
+    """
+    r = rng.random(shape)
     # 1 - U lies in (0, 1], avoiding a zero base for the negative power
-    return scale * (1.0 - rng.random(shape)) ** (-1.0 / tail_index)
+    np.subtract(1.0, r, out=r)
+    np.power(r, -1.0 / tail_index, out=r)
+    return np.multiply(r, scale, out=r)
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,12 @@ class HeavyTailNoise:
 
     def sample_batch(self, problem, space: NormedSpace, w,
                      rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent stochastic gradients at the same point w."""
+        """n independent stochastic gradients at the same point w.
+
+        The radius, the norm and the gradient are applied in the buffer of
+        the normal draws, one elementwise operation each, in the order of
+        grad + radii * u / norms.
+        """
         grad = problem.gradient(w)
         if self.scale == 0.0:
             return np.tile(grad, (n, 1))
@@ -244,7 +256,9 @@ class HeavyTailNoise:
         radii = self.sample_radii(rng, n)
         norms = np.asarray(space.dual_norm(u))[:, np.newaxis]
         norms[norms == 0.0] = 1.0
-        return grad + radii[:, np.newaxis] * u / norms
+        np.multiply(u, radii[:, np.newaxis], out=u)
+        np.divide(u, norms, out=u)
+        return np.add(u, grad, out=u)
 
 
 def calibrate_grad_bound(problem, noise: HeavyTailNoise, space: NormedSpace,

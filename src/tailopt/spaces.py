@@ -228,12 +228,20 @@ class NormedSpace:
         """Gradient of x -> ||x||_r^2, zero at the origin.
 
         Closed form 2 ||x||_r^(2-r) sign(x_i) |x_i|^(r-1), max-factored.
+        At r > 2 a vector with infinite components gets the limit along
+        them, +-inf on those components and 0 elsewhere (at r = 2, 2x is
+        that limit already), and one with a NaN component maps to NaN.
         """
         x = self._check_dim(x)
         r = self.dual_exponent
         if r == 2.0:
             return 2.0 * x
         m = np.max(np.abs(x), axis=-1, keepdims=True)
+        finite = m < math.inf  # a NaN row has m = NaN, which fails it
+        if not finite.all():
+            limit = np.where(np.isnan(m), np.nan, np.where(np.isinf(x), x, 0.0))
+            return np.where(finite, self.dual_sq_norm_grad(np.where(finite, x, 0.0)),
+                            limit)
         safe = np.where(m > 0.0, m, 1.0)
         u = np.abs(x) / safe
         s = np.sum(u ** r, axis=-1, keepdims=True)

@@ -30,7 +30,8 @@ from tailopt.problems import (HeavyTailNoise, make_problem, pareto_moment,
 from tailopt.spaces import NormedSpace
 
 __all__ = ["CheckResult", "run_verification_suite", "coverage_report",
-           "majorant_checks", "truncation_rows", "DEFAULT_SIZES", "SPACE_GRID"]
+           "majorant_checks", "oracle_moment_checks", "tail_moment_checks",
+           "truncation_rows", "DEFAULT_SIZES", "SPACE_GRID"]
 
 # primal exponents of the supported sweep spaces: duals l_2, l_3, l_6
 SPACE_GRID = (2.0, 1.5, 1.2)
@@ -177,55 +178,9 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
             descent_step_gap(prob, w, g_star, lr, space), 1e-9))
 
     # --- oracle moments ---------------------------------------------------------
-    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=1.0)
-    n = sz["unbias_n"]
-    w = np.full(dim, 0.7)
-    g = noise.sample_batch(prob, e_space, w, rng, n)
-    mean_err = float(e_space.dual_norm(g.mean(axis=0) - prob.gradient(w)))
-    emp = float(np.mean(np.asarray(e_space.dual_norm(g - prob.gradient(w))) ** 1.5))
-    tol = 3.0 * emp ** (1 / 1.5) * n ** (-(1.5 - 1) / 1.5)
-    results.append(CheckResult("oracle_unbiased", n, int(mean_err > tol),
-                               mean_err, mean_err <= tol,
-                               note=f"tol={tol:.3g}"))
-
-    # The closed form at an order k < tail/2, where R^k has finite variance,
-    # so the sample mean has a standard error to set the tolerance by; at
-    # k >= tail/2 the sample mean converges slower than any fixed tolerance.
-    n = sz["moment_n"]
-    radii = noise.sample_radii(rng, n)
-    k = 0.5
-    target = noise.radius_moment(k)
-    rel_se = math.sqrt((noise.radius_moment(2 * k) - target ** 2) / n) / target
-    rel_bound = 5.0 * rel_se
-    rel = abs(float(np.mean(radii ** k)) / target - 1.0)
-    results.append(CheckResult("pareto_moment_closed_form", n, int(rel > rel_bound),
-                               rel, rel <= rel_bound,
-                               note=f"E R^{k:g} = {target:.6g}, tol {rel_bound:.2g} "
-                                    f"rel (5 s.e.)"))
-
-    # Divergence certificate: the raw second moment must exceed (by the 1.2
-    # factor) what any model with its tail clipped at the 1e-4 quantile could
-    # produce, while the sub-tail moment index stays stable.  A prefix-ratio
-    # version of the growth test has constant per-seed failure probability
-    # (an early giant jump inflates the prefix), so the reference here is the
-    # deterministic closed-form clipped moment instead.
-    grow, stable = 0, 0
-    heavy = HeavyTailNoise(p_moment=1.2, tail_index=1.5)
-    clip_ref = conc.clipped_pareto_second_moment(heavy.tail_index, heavy.scale,
-                                                 100.0)
-    for i in range(sz["tail_seeds"]):
-        r = heavy.sample_radii(np.random.default_rng([seed, 0x7A11, i]), sz["tail_n"])
-        n10 = r.size // 10
-        if np.mean(r ** 2) > 1.2 * clip_ref:
-            grow += 1
-        if abs(np.mean(r ** 1.2) / np.mean(r[:n10] ** 1.2) - 1.0) <= 0.10:
-            stable += 1
-    need = math.ceil(0.8 * sz["tail_seeds"])
-    results.append(CheckResult("heavy_tail_second_moment_grows", sz["tail_seeds"],
-                               sz["tail_seeds"] - grow, float(grow), grow >= need))
-    results.append(CheckResult("p_moment_stabilizes", sz["tail_seeds"],
-                               sz["tail_seeds"] - stable, float(stable),
-                               stable >= need))
+    results.extend(oracle_moment_checks(prob, e_space, rng, sz["unbias_n"],
+                                        sz["moment_n"]))
+    results.extend(tail_moment_checks(seed, sz["tail_seeds"], sz["tail_n"]))
 
     # --- scalar reduction and power means --------------------------------------
     stream_spaces = [NormedSpace.euclidean(4), NormedSpace(dim=4, primal_exponent=1.5)]
@@ -319,6 +274,75 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
     results.append(CheckResult("nigt_equals_nsgd_at_beta0", 200,
                                int(not equal), 0.0, equal))
     return results
+
+
+def oracle_moment_checks(problem, space: NormedSpace, rng: np.random.Generator,
+                         n_unbias: int, n_moment: int) -> list[CheckResult]:
+    """The Pareto(1.8) oracle's mean on n_unbias gradients at one point, and
+    the closed-form radius moment on n_moment radii, drawn from ``rng`` in
+    that order.  Each batch is freed once its check is done."""
+    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=1.0)
+    n = n_unbias
+    w = np.full(space.dim, 0.7)
+    grad = problem.gradient(w)
+    g = noise.sample_batch(problem, space, w, rng, n)
+    mean_err = float(space.dual_norm(g.mean(axis=0) - grad))
+    np.subtract(g, grad, out=g)  # the noise, in place
+    emp = float(np.mean(np.asarray(space.dual_norm(g)) ** 1.5))
+    del g
+    tol = 3.0 * emp ** (1 / 1.5) * n ** (-(1.5 - 1) / 1.5)
+    results = [CheckResult("oracle_unbiased", n, int(mean_err > tol),
+                           mean_err, mean_err <= tol, note=f"tol={tol:.3g}")]
+
+    # The closed form at an order k < tail/2, where R^k has finite variance,
+    # so the sample mean has a standard error to set the tolerance by; at
+    # k >= tail/2 the sample mean converges slower than any fixed tolerance.
+    n = n_moment
+    radii = noise.sample_radii(rng, n)
+    k = 0.5  # R^k is an in-place square root
+    target = noise.radius_moment(k)
+    rel_se = math.sqrt((noise.radius_moment(2 * k) - target ** 2) / n) / target
+    rel_bound = 5.0 * rel_se
+    rel = abs(float(np.mean(np.sqrt(radii, out=radii))) / target - 1.0)
+    results.append(CheckResult("pareto_moment_closed_form", n, int(rel > rel_bound),
+                               rel, rel <= rel_bound,
+                               note=f"E R^{k:g} = {target:.6g}, tol {rel_bound:.2g} "
+                                    f"rel (5 s.e.)"))
+    return results
+
+
+def tail_moment_checks(seed: int, n_seeds: int, n: int) -> list[CheckResult]:
+    """The divergence certificate on n_seeds Pareto(1.5) streams of n radii.
+
+    The raw second moment must exceed (by the 1.2 factor) what any model
+    with its tail clipped at the 1e-4 quantile could produce, while the
+    sub-tail moment index stays stable.  A prefix-ratio version of the
+    growth test has constant per-seed failure probability (an early giant
+    jump inflates the prefix), so the reference here is the deterministic
+    closed-form clipped moment instead.
+
+    At most two streams are held at once: the current draw and one scratch
+    buffer for its powers, whose first tenth is the prefix.
+    """
+    grow, stable = 0, 0
+    heavy = HeavyTailNoise(p_moment=1.2, tail_index=1.5)
+    clip_ref = conc.clipped_pareto_second_moment(heavy.tail_index, heavy.scale,
+                                                 100.0)
+    n10 = n // 10
+    power = np.empty(n)
+    for i in range(n_seeds):
+        r = heavy.sample_radii(np.random.default_rng([seed, 0x7A11, i]), n)
+        if np.mean(np.square(r, out=power)) > 1.2 * clip_ref:
+            grow += 1
+        np.power(r, 1.2, out=power)
+        del r  # before the next stream is drawn
+        if abs(np.mean(power) / np.mean(power[:n10]) - 1.0) <= 0.10:
+            stable += 1
+    need = math.ceil(0.8 * n_seeds)
+    return [CheckResult("heavy_tail_second_moment_grows", n_seeds,
+                        n_seeds - grow, float(grow), grow >= need),
+            CheckResult("p_moment_stabilizes", n_seeds, n_seeds - stable,
+                        float(stable), stable >= need)]
 
 
 def majorant_checks(space: NormedSpace, rng: np.random.Generator,

@@ -1,8 +1,9 @@
 """Config handling, persistence, invariants, sweeps, CLI exit codes."""
 
+import math
 import os
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,24 @@ _EXISTING_FILE = "<existing file>"
     (["concentration", "--trials", "100000000000000000000"], None, "trials"),
     (["concentration", "--trials", "10000000000", "--length", "10000000000"], None,
      "trials, length"),
+    # finite inputs whose derived constants overflow: G, log(3T/delta),
+    # tau, the descent threshold, s^2 / b^2 of the second-order certificate
+    (["run", "--T", "50", "--dim", "3", "--noise-scale", "1e250"], None,
+     "amplitude, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3", "--noise-scale", "1e308"], None,
+     "amplitude, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3", "--delta", "1e-320"], None, "T, delta"),
+    (["run", "--T", "50", "--dim", "3"], "[noise]\nsafety = 1e308\n",
+     "amplitude, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3"], "[problem]\namplitude = 1e308\n",
+     "amplitude, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3", "--problem", "quadratic",
+      "--noise-scale", "1e250"], None, "eig_max, start_value, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3", "--noise-scale", "1e110", "--b", "1e-300"],
+     None, "T, b, amplitude, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3", "--b", "1e-320"], None,
+     "s, b, amplitude, noise_scale, safety"),
+    (["run", "--T", "50", "--dim", "3", "--algo", "nigt", "--s", "1e200"], None, "s, b"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
                                                  argv, ini, field):
@@ -346,6 +365,36 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr("tailopt.verify.coverage_report", no_work)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+_FLOAT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "float"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_float_magnitudes_build_finite_constants_or_name_a_field(data):
+    # every float field at magnitudes from 1e-320 to 1e308: the experiment
+    # builds with finite G, tau, lr and certificate constants, or the config
+    # is refused by name, with no RuntimeWarning on the way (errors here)
+    magnitude = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+    values = data.draw(st.dictionaries(st.sampled_from(_FLOAT_FIELDS), magnitude,
+                                       min_size=1, max_size=4))
+    problem = data.draw(st.sampled_from(["cosine_sum", "quadratic"]))
+    algorithm = data.draw(st.sampled_from(["nsgd", "nigt"]))
+    cfg = RunConfig(T=200, dim=3, calib_samples=10_000, problem=problem,
+                    algorithm=algorithm, **values)
+    try:
+        exp = build_experiment(cfg)
+    except ConfigError as exc:
+        prefix = str(exc).split(":", 1)[0]
+        assert set(prefix.split(", ")) & set(CONFIG_FIELDS), (values, str(exc))
+        return
+    hp, cert = exp.hp, exp.cert
+    constants = (hp.grad_bound, hp.tau, hp.lr, hp.alpha, cert.log_factor,
+                 cert.concentration_factor, cert.error_scale,
+                 cert.momentum_error_bound, cert.momentum_threshold)
+    assert all(math.isfinite(c) for c in constants), (values, constants)
+    assert 0 <= cert.burn_in <= cfg.T
 
 
 def test_cli_concentration_out_of_memory_names_its_own_fields(capsys):

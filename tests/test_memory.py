@@ -1,0 +1,54 @@
+"""Peak memory of the large draws behind ``verify``, as traced by tracemalloc.
+
+numpy reports its data buffers to tracemalloc, so a traced peak counts
+every stream-sized temporary that a draw or a moment makes.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from tailopt.concentration import clipped_pareto_second_moment
+from tailopt.problems import pareto_radii
+from tailopt.verify import tail_moment_checks
+
+
+def _traced_peak(fn):
+    """(fn(), the peak traced bytes above those live before the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_pareto_radii_holds_one_array():
+    r, peak = _traced_peak(lambda: pareto_radii(np.random.default_rng(3), 10**6,
+                                                1.5, 2.5))
+    assert peak <= 1.1 * r.nbytes, peak / r.nbytes
+
+
+def test_tail_moment_checks_hold_at_most_two_streams():
+    n = 10**6
+    _, peak = _traced_peak(lambda: tail_moment_checks(0, 3, n))
+    assert peak <= 2.1 * 8 * n, peak / (8 * n)
+
+
+def test_tail_moment_checks_match_the_per_stream_powers():
+    # the scratch buffer and its prefix give the counts of fresh powers
+    # (at this seed and size, 3 of 6 streams grow and 2 stabilize)
+    seed, n_seeds, n = 0, 6, 5000
+    clip_ref = clipped_pareto_second_moment(1.5, 1.0, 100.0)
+    grow = stable = 0
+    for i in range(n_seeds):
+        r = pareto_radii(np.random.default_rng([seed, 0x7A11, i]), n, 1.5)
+        grow += bool(np.mean(r ** 2) > 1.2 * clip_ref)
+        stable += bool(abs(np.mean(r ** 1.2) / np.mean(r[:n // 10] ** 1.2) - 1.0)
+                       <= 0.10)
+    grows, stabilizes = tail_moment_checks(seed, n_seeds, n)
+    assert (grows.worst, stabilizes.worst) == (grow, stable)
+    assert (grows.violations, stabilizes.violations) == (n_seeds - grow,
+                                                         n_seeds - stable)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailopt.problems import (CosineSum, DiagonalQuadratic, HeavyTailNoise,
-                              calibrate_grad_bound, make_problem)
+                              calibrate_grad_bound, make_problem, pareto_radii)
 from tailopt.spaces import NormedSpace
 
 
@@ -185,6 +185,68 @@ def test_draw_steps_zero_direction_guard_per_row():
         assert row.tobytes() == ((radius / sp.dual_norm(u)) * u).tobytes()
     for row in z[1::2]:  # the guard's direction e_0
         assert row.tobytes() == np.array([radius, 0.0, 0.0]).tobytes()
+
+
+def _reference_radii(rng, shape, tail_index, scale=1.0):
+    """pareto_radii as one expression, a temporary per operation."""
+    return scale * (1.0 - rng.random(shape)) ** (-1.0 / tail_index)
+
+
+def _reference_batch(noise, problem, space, w, rng, n):
+    """HeavyTailNoise.sample_batch as one expression per line."""
+    grad = problem.gradient(w)
+    if noise.scale == 0.0:
+        return np.tile(grad, (n, 1))
+    u = rng.standard_normal((n, space.dim))
+    radii = _reference_radii(rng, n, noise.tail_index, noise.scale)
+    norms = np.asarray(space.dual_norm(u))[:, np.newaxis]
+    norms[norms == 0.0] = 1.0
+    return grad + radii[:, np.newaxis] * u / norms
+
+
+class _ZeroFirstDirection:
+    """A generator that zeroes the first row of each batch of directions."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size):
+        u = self.rng.standard_normal(size)
+        u[0] = 0.0
+        return u
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("tail", [1.5, 1.8])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("shape", [1000, (200, 7)])
+def test_pareto_radii_in_place_keeps_the_expression_bits(shape, scale, tail):
+    fast, ref = np.random.default_rng(21), np.random.default_rng(21)
+    r = pareto_radii(fast, shape, tail, scale)
+    expect = _reference_radii(ref, shape, tail, scale)
+    assert r.shape == expect.shape and r.tobytes() == expect.tobytes()
+    assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+@pytest.mark.parametrize("tail", [1.5, 1.8])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_sample_batch_in_place_keeps_the_expression_bits(p, scale, tail, zero_row):
+    prob = make_problem("cosine_sum", 5)
+    noise = HeavyTailNoise(p_moment=1.2, tail_index=tail, scale=scale)
+    sp = NormedSpace(dim=5, primal_exponent=p)
+    w = np.array([0.3, -1.0, 2.5, 0.0, 7.0])
+    fast, ref = np.random.default_rng(22), np.random.default_rng(22)
+    wrap = _ZeroFirstDirection if zero_row else (lambda rng: rng)
+    g = noise.sample_batch(prob, sp, w, wrap(fast), 500)
+    expect = _reference_batch(noise, prob, sp, w, wrap(ref), 500)
+    assert g.shape == (500, 5) and g.tobytes() == expect.tobytes()
+    if zero_row and scale > 0.0:  # the guarded zero direction adds +0.0
+        assert np.array_equal(g[0], prob.gradient(w))
+    assert fast.random() == ref.random()
 
 
 def test_heavy_tail_second_moment_grows():

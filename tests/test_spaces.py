@@ -230,6 +230,28 @@ def test_infinite_component_gives_infinite_norm(p):
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_infinite_component_gives_the_limit_of_the_sq_norm_gradient(p):
+    # 2 ||x||^(2-r) sign(x_i) |x_i|^(r-1) as components grow without bound:
+    # at r > 2, +-inf on them and 0 elsewhere; at r = 2 it is 2x throughout.
+    # A NaN row maps to NaN at r > 2.  No RuntimeWarning (errors in tier-1)
+    sp = NormedSpace(dim=3, primal_exponent=p)
+    cases = [([np.inf, 1.0, 1.0], [np.inf, 0.0, 0.0]),
+             ([0.0, -np.inf, 0.0], [0.0, -np.inf, 0.0]),
+             ([-np.inf, 2.0, np.inf], [-np.inf, 0.0, np.inf]),
+             ([np.nan, 1.0, 1.0], [np.nan] * 3),
+             ([np.nan, np.inf, 1.0], [np.nan] * 3)]
+    batch = np.array([[1.0, 2.0, 3.0]] + [v for v, _ in cases])
+    rows = sp.dual_sq_norm_grad(batch)
+    assert np.array_equal(rows[0], sp.dual_sq_norm_grad(batch[0]))
+    for row, (v, expect) in zip(rows[1:], cases):
+        g = sp.dual_sq_norm_grad(v)
+        if p == 2.0:
+            expect = 2.0 * np.array(v)
+        assert np.array_equal(g, expect, equal_nan=True), v
+        assert np.array_equal(g, row, equal_nan=True), v
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
 def test_subnormal_vector_keeps_its_norm(p):
     # at q = 2 the squares of subnormal components underflow to 0; such a
     # vector is max-factored instead, so its norm is not 0 and its duality
