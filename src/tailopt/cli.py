@@ -10,6 +10,8 @@ import os
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from tailopt.analysis import fit_rate_exponent
 from tailopt.harness import (MAX_ARRAY_LEN, ConfigError, RunConfig,
                              burn_in_compare, check_trajectory_invariants,
@@ -157,7 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    from tailopt.verify import coverage_report
+    from tailopt.verify import coverage_rows
     for flag in ("trials", "length"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
@@ -169,18 +171,18 @@ def _cmd_concentration(args) -> int:
                           f"{MAX_ARRAY_LEN} (the scalar coverage batch)")
     _check_seed_delta(args)
     make_output_dir(args.out)
-    rows = coverage_report(args.trials, args.length, args.delta, seed=args.seed)
+    rng = np.random.default_rng([args.seed, 0xC0FE])
     header = "lemma,delta,trials,coverage,ci_low,ci_high,pass"
     print(header)
     lines = [header]
     ok = True
-    for row in rows:
-        line = (f"{row['lemma']},{row['delta']},{row['trials']},"
-                f"{row['coverage']:.6f},{row['ci_low']:.6f},"
-                f"{row['ci_high']:.6f},{row['pass']}")
+    for name, level, res in coverage_rows(args.trials, args.length, args.delta, rng):
+        passed = res.meets(level)
+        line = (f"{name.replace('coverage_', '')},{args.delta},{args.trials},"
+                f"{res.coverage:.6f},{res.ci_low:.6f},{res.ci_high:.6f},{int(passed)}")
         print(line)
         lines.append(line)
-        ok &= bool(row["pass"])
+        ok &= passed
     if args.out:
         with open(os.path.join(args.out, "concentration_report.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")

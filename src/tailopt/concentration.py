@@ -2,7 +2,8 @@
 
 The dimension-free machinery rests on a scalar reduction: given dual
 vectors X_1..X_T in a (2, C)-smooth norm, ``s_sequence_batch`` builds
-scalars s_t with |s_t| <= ||X_t|| such that
+scalars s_t = +-<d(S_{t-1}), X_t>, with d the duality map (the gradient
+of the norm) at the prefix sum S_{t-1}, so that |s_t| <= ||X_t|| and
 
     ||sum X_t||  <=  |sum s_t| + (max_t ||X_t||^2 + C sum_t ||X_t||^2)^(1/2)
 
@@ -58,16 +59,17 @@ __all__ = [
 def s_sequence_batch(xs, space: NormedSpace) -> np.ndarray:
     """Scalar reduction sequences for a batch of streams, shape (B, T, dim).
 
-    Recursion per stream, with S_t the running vector prefix sum and
-    c_t the running scalar prefix sum:
+    Recursion per stream, with S_t the running vector prefix sum, c_t the
+    running scalar prefix sum and d the duality map:
 
-        s_t = 0                                        if S_{t-1} = 0
-        s_t = sgn(c_{t-1}) <grad ||S_{t-1}||^2, X_t>
-                / (2 ||S_{t-1}||)                      otherwise
+        s_t = sgn(c_{t-1}) <d(S_{t-1}), X_t>
 
-    sgn(0) is taken as +1: the chain of inequalities behind the majorant
-    needs |sgn| = 1, and a zero there would silently zero out every s_t
-    (the scalar prefix always starts at 0).
+    d(S) = grad ||S|| is the unit primal vector with <S, d(S)> = ||S||, so
+    this is <grad ||S||^2, X_t> / (2 ||S||), and |s_t| <= ||X_t||.  d(0) = 0
+    makes s_t = 0 on an empty or zero prefix.  sgn(0) is taken as +1: the
+    chain of inequalities behind the majorant needs |sgn| = 1, and a zero
+    there would silently zero out every s_t (the scalar prefix always
+    starts at 0).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[-1] != space.dim:
@@ -78,11 +80,8 @@ def s_sequence_batch(xs, space: NormedSpace) -> np.ndarray:
     scalar_prefix = np.zeros(n_streams)
     for t in range(length):
         x = xs[:, t, :]
-        norms = np.asarray(space.dual_norm(prefix))
-        grad = space.dual_sq_norm_grad(prefix)
         sgn = np.where(scalar_prefix >= 0.0, 1.0, -1.0)
-        denom = 2.0 * np.where(norms > 0.0, norms, 1.0)
-        s_t = np.where(norms > 0.0, sgn * np.sum(grad * x, axis=-1) / denom, 0.0)
+        s_t = sgn * np.sum(space.duality_map(prefix) * x, axis=-1)
         out[:, t] = s_t
         scalar_prefix += s_t
         prefix += x
@@ -264,11 +263,10 @@ def truncation_bias_variance_mc(sample_fn, mean, threshold: float,
     if x.ndim == 1:
         x = x[:, np.newaxis]
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    norms = np.sqrt(np.sum(x * x, axis=-1))
-    scale = np.where(norms > threshold, threshold / np.where(norms > 0, norms, 1.0), 1.0)
-    clipped = x * scale[:, np.newaxis]
+    space = NormedSpace.euclidean(x.shape[-1])
+    clipped = space.clip_dual(x, threshold)
     emp_mean = clipped.mean(axis=0)
-    bias = float(np.sqrt(np.sum((emp_mean - mean) ** 2)))
+    bias = space.dual_norm(emp_mean - mean)
     sq_dev = np.sum((clipped - emp_mean) ** 2, axis=-1)
     variance = float(sq_dev.mean())
     bias_se = math.sqrt(variance / trials)

@@ -14,7 +14,10 @@ the primal exponent is restricted to (1, 2].
 
 ``duality_map`` sends a dual vector v to the unit primal vector d(v)
 maximizing the pairing, <v, d(v)> = ||v||_r; it is the direction a
-normalized gradient step moves in.
+normalized gradient step moves in.  It is also the gradient of the dual
+norm away from 0, so grad ||x||_r^2 = 2 ||x||_r d(x): the one derivative
+the smoothness inequality and the scalar reduction of ``concentration``
+need.
 
 All vector operations accept arrays of shape ``(..., dim)`` and act on
 the last axis, returning scalars for single vectors and arrays for
@@ -224,42 +227,18 @@ class NormedSpace:
         scale = np.where(n > threshold, threshold / np.where(n > 0.0, n, 1.0), 1.0)
         return v * scale
 
-    def dual_sq_norm_grad(self, x) -> np.ndarray:
-        """Gradient of x -> ||x||_r^2, zero at the origin.
-
-        Closed form 2 ||x||_r^(2-r) sign(x_i) |x_i|^(r-1), max-factored.
-        At r > 2 a vector with infinite components gets the limit along
-        them, +-inf on those components and 0 elsewhere (at r = 2, 2x is
-        that limit already), and one with a NaN component maps to NaN.
-        """
-        x = self._check_dim(x)
-        r = self.dual_exponent
-        if r == 2.0:
-            return 2.0 * x
-        m = np.max(np.abs(x), axis=-1, keepdims=True)
-        finite = m < math.inf  # a NaN row has m = NaN, which fails it
-        if not finite.all():
-            limit = np.where(np.isnan(m), np.nan, np.where(np.isinf(x), x, 0.0))
-            return np.where(finite, self.dual_sq_norm_grad(np.where(finite, x, 0.0)),
-                            limit)
-        safe = np.where(m > 0.0, m, 1.0)
-        u = np.abs(x) / safe
-        s = np.sum(u ** r, axis=-1, keepdims=True)
-        g = 2.0 * safe * np.where(s > 0.0, s, 1.0) ** ((2.0 - r) / r) \
-            * np.sign(x) * u ** (r - 1.0)
-        return np.where(m > 0.0, g, 0.0)
-
     def smooth_norm_gap(self, x, y) -> np.ndarray | float:
         """Slack of the 2-smoothness inequality of the dual norm at (x, y).
 
         Returns ||x||^2 + <grad ||x||^2, y> + C ||y||^2 - ||x + y||^2,
-        which is nonnegative up to rounding for every supported space.
+        which is nonnegative up to rounding for every supported space.  The
+        gradient is 2 ||x|| d(x), so the cross term is 2 ||x|| <d(x), y>.
         """
         x = self._check_dim(x)
         y = self._check_dim(y)
         nx = np.asarray(self.dual_norm(x), dtype=float)
         ny = np.asarray(self.dual_norm(y), dtype=float)
         nxy = np.asarray(self.dual_norm(x + y), dtype=float)
-        cross = np.sum(self.dual_sq_norm_grad(x) * y, axis=-1)
+        cross = 2.0 * nx * np.sum(self.duality_map(x) * y, axis=-1)
         out = nx ** 2 + cross + self.smooth_constant * ny ** 2 - nxy ** 2
         return float(out) if out.ndim == 0 else out

@@ -29,7 +29,7 @@ from tailopt.problems import (HeavyTailNoise, make_problem, pareto_moment,
                               pareto_radii)
 from tailopt.spaces import NormedSpace
 
-__all__ = ["CheckResult", "run_verification_suite", "coverage_report",
+__all__ = ["CheckResult", "run_verification_suite", "coverage_rows",
            "majorant_checks", "oracle_moment_checks", "tail_moment_checks",
            "truncation_rows", "DEFAULT_SIZES", "SPACE_GRID"]
 
@@ -316,10 +316,20 @@ def tail_moment_checks(seed: int, n_seeds: int, n: int) -> list[CheckResult]:
 
     The raw second moment must exceed (by the 1.2 factor) what any model
     with its tail clipped at the 1e-4 quantile could produce, while the
-    sub-tail moment index stays stable.  A prefix-ratio version of the
-    growth test has constant per-seed failure probability (an early giant
-    jump inflates the prefix), so the reference here is the deterministic
-    closed-form clipped moment instead.
+    sub-tail moment settles.  A prefix-ratio version of the growth test has
+    constant per-seed failure probability (an early giant jump inflates the
+    prefix), so the reference here is the deterministic closed-form clipped
+    moment instead.
+
+    The settling test takes R^k at k = 0.5 < tail/2, where R^k has the
+    closed-form variance sigma^2 = E R^2k - (E R^k)^2.  The full mean minus
+    the mean of the first tenth is 0.9 (rest - prefix), with standard error
+    3 sigma / sqrt(n); a stream settles when that difference is within z
+    standard errors.  Both checks need ceil(0.8 n_seeds) streams.  Under
+    the normal approximation a stream misses with probability
+    alpha = erfc(z / sqrt 2), so correct draws fail the settling check with
+    probability at most C(n_seeds, m) alpha^m, m being one more than the
+    misses it allows.
 
     At most two streams are held at once: the current draw and one scratch
     buffer for its powers, whose first tenth is the prefix.
@@ -328,21 +338,29 @@ def tail_moment_checks(seed: int, n_seeds: int, n: int) -> list[CheckResult]:
     heavy = HeavyTailNoise(p_moment=1.2, tail_index=1.5)
     clip_ref = conc.clipped_pareto_second_moment(heavy.tail_index, heavy.scale,
                                                  100.0)
+    k, z = 0.5, 3.5  # R^k is an in-place square root
+    sigma = math.sqrt(heavy.radius_moment(2 * k) - heavy.radius_moment(k) ** 2)
+    tol = z * 3.0 * sigma / math.sqrt(n)
     n10 = n // 10
     power = np.empty(n)
     for i in range(n_seeds):
         r = heavy.sample_radii(np.random.default_rng([seed, 0x7A11, i]), n)
         if np.mean(np.square(r, out=power)) > 1.2 * clip_ref:
             grow += 1
-        np.power(r, 1.2, out=power)
+        np.sqrt(r, out=power)
         del r  # before the next stream is drawn
-        if abs(np.mean(power) / np.mean(power[:n10]) - 1.0) <= 0.10:
+        if abs(np.mean(power) - np.mean(power[:n10])) <= tol:
             stable += 1
     need = math.ceil(0.8 * n_seeds)
+    misses = n_seeds - need + 1
+    false_alarm = math.comb(n_seeds, misses) * math.erfc(z / math.sqrt(2.0)) ** misses
     return [CheckResult("heavy_tail_second_moment_grows", n_seeds,
                         n_seeds - grow, float(grow), grow >= need),
             CheckResult("p_moment_stabilizes", n_seeds, n_seeds - stable,
-                        float(stable), stable >= need)]
+                        float(stable), stable >= need,
+                        note=f"E R^{k:g} of full vs first tenth within {z:g} s.e. "
+                             f"(3 sigma/sqrt n) in >= {need} of {n_seeds}; "
+                             f"false alarm <= {false_alarm:.1g} (normal approx)")]
 
 
 def majorant_checks(space: NormedSpace, rng: np.random.Generator,
@@ -406,20 +424,3 @@ def coverage_rows(trials: int, length: int, delta: float,
         ("coverage_truncated_banach", 1.0 - delta,
          conc.truncated_sum_coverage("banach", trials, length, delta, rng)),
     ]
-
-
-def coverage_report(trials: int, length: int, delta: float, seed: int = 0) -> list[dict]:
-    """Rows for the concentration CSV report."""
-    rng = np.random.default_rng([seed, 0xC0FE])
-    rows = []
-    for name, level, res in coverage_rows(trials, length, delta, rng):
-        rows.append({
-            "lemma": name.replace("coverage_", ""),
-            "delta": delta,
-            "trials": trials,
-            "coverage": res.coverage,
-            "ci_low": res.ci_low,
-            "ci_high": res.ci_high,
-            "pass": int(res.meets(level)),
-        })
-    return rows

@@ -40,6 +40,29 @@ def test_s_bound_by_increment_norm():
         assert np.all(np.abs(s) <= norms * (1.0 + 1e-12) + 1e-300)
 
 
+def test_s_sequence_matches_the_sq_norm_gradient_form():
+    # the recursion written with grad ||S||^2 = 2 ||S||^(2-r) sign(S) |S|^(r-1)
+    # and divided by 2 ||S||, as the scalar reduction states it: the duality
+    # map form agrees to 1e-12 ||X_t|| per entry
+    rng = np.random.default_rng(31)
+    xs = rng.standard_normal((200, 30, 4)) * rng.lognormal(0, 1, (200, 30, 1))
+    for sp in (EUCLID4, DUAL_OF_15, NormedSpace(dim=4, primal_exponent=1.2)):
+        r = sp.dual_exponent
+        expect = np.zeros(xs.shape[:2])
+        prefix = np.zeros((xs.shape[0], 4))
+        scalar_prefix = np.zeros(xs.shape[0])
+        for t in range(xs.shape[1]):
+            norms = np.sum(np.abs(prefix) ** r, axis=-1) ** (1.0 / r)
+            safe = np.where(norms > 0.0, norms, 1.0)[:, None]
+            grad = 2.0 * safe ** (2.0 - r) * np.sign(prefix) * np.abs(prefix) ** (r - 1.0)
+            sgn = np.where(scalar_prefix >= 0.0, 1.0, -1.0)
+            expect[:, t] = sgn * np.sum(grad * xs[:, t], axis=-1) / (2.0 * safe[:, 0])
+            scalar_prefix += expect[:, t]
+            prefix += xs[:, t]
+        s = conc.s_sequence_batch(xs, sp)
+        assert np.all(np.abs(s - expect) <= 1e-12 * np.asarray(sp.dual_norm(xs)))
+
+
 def test_majorant_single_vector():
     for sp in (EUCLID4, DUAL_OF_15):
         x = np.array([[1.0, -2.0, 0.5, 1.5]])

@@ -362,7 +362,7 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
     # every input here is refused before a step, a suite check or a coverage run
     monkeypatch.setattr("tailopt.harness.run_trajectory", no_work)
     monkeypatch.setattr("tailopt.verify.run_verification_suite", no_work)
-    monkeypatch.setattr("tailopt.verify.coverage_report", no_work)
+    monkeypatch.setattr("tailopt.verify.coverage_rows", no_work)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 

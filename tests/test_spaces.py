@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from tailopt.analysis import central_diff_gradient
 from tailopt.spaces import NormedSpace
 
 SUPPORTED_PRIMALS = [1.2, 1.5, 2.0]  # dual exponents 6, 3, 2; C = 5, 2, 1
@@ -142,6 +143,18 @@ def test_holder_inequality_sweep():
         assert np.all(lhs <= rhs + 1e-9)
 
 
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_duality_map_is_the_dual_norm_gradient(p):
+    # d(v) = grad ||v||_r away from 0, the identity behind the smoothness
+    # gap's cross term and the scalar reduction: central differences of the
+    # dual norm, step 1e-6, agree with the map to 1e-8 at random v
+    sp = NormedSpace(dim=5, primal_exponent=p)
+    rng = np.random.default_rng(29)
+    for v in rng.standard_normal((50, 5)) * rng.lognormal(0, 1, size=(50, 1)):
+        fd = central_diff_gradient(sp.dual_norm, v)
+        np.testing.assert_allclose(sp.duality_map(v), fd, rtol=0, atol=1e-8)
+
+
 def test_smooth_norm_gap_trivial_cases():
     sp15 = NormedSpace(dim=4, primal_exponent=1.5)
     x = np.array([1.0, -2.0, 0.5, 3.0])
@@ -227,28 +240,6 @@ def test_infinite_component_gives_infinite_norm(p):
         d = sp.duality_map(v)
         assert np.array_equal(d, sp.duality_map(np.array([[1.0, 0.0, 0.0], v]))[1])
     np.testing.assert_allclose(d, [c, -c, 0.0], rtol=1e-15)
-
-
-@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
-def test_infinite_component_gives_the_limit_of_the_sq_norm_gradient(p):
-    # 2 ||x||^(2-r) sign(x_i) |x_i|^(r-1) as components grow without bound:
-    # at r > 2, +-inf on them and 0 elsewhere; at r = 2 it is 2x throughout.
-    # A NaN row maps to NaN at r > 2.  No RuntimeWarning (errors in tier-1)
-    sp = NormedSpace(dim=3, primal_exponent=p)
-    cases = [([np.inf, 1.0, 1.0], [np.inf, 0.0, 0.0]),
-             ([0.0, -np.inf, 0.0], [0.0, -np.inf, 0.0]),
-             ([-np.inf, 2.0, np.inf], [-np.inf, 0.0, np.inf]),
-             ([np.nan, 1.0, 1.0], [np.nan] * 3),
-             ([np.nan, np.inf, 1.0], [np.nan] * 3)]
-    batch = np.array([[1.0, 2.0, 3.0]] + [v for v, _ in cases])
-    rows = sp.dual_sq_norm_grad(batch)
-    assert np.array_equal(rows[0], sp.dual_sq_norm_grad(batch[0]))
-    for row, (v, expect) in zip(rows[1:], cases):
-        g = sp.dual_sq_norm_grad(v)
-        if p == 2.0:
-            expect = 2.0 * np.array(v)
-        assert np.array_equal(g, expect, equal_nan=True), v
-        assert np.array_equal(g, row, equal_nan=True), v
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
