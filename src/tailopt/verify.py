@@ -14,6 +14,7 @@ everywhere.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,16 @@ DEFAULT_SIZES = {
     "smoke_T": 2_000,
 }
 
+# the smallest size each check can use: tail_n needs a first tenth,
+# power_mean splits its draws into 64 batches, and the truncation estimate
+# refuses fewer than 1e5 trials
+_SIZE_FLOORS = {**dict.fromkeys(DEFAULT_SIZES, 1), "tail_n": 10, "power_mean": 64,
+                "trunc_trials": 100_000}
+
+# values per leaf of the streamed Monte Carlo draws: a check draws, reduces
+# and frees one leaf before the next, so it holds a few leaves at any size
+_LEAF = 2 ** 17
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -85,11 +96,58 @@ def _spaces(dim):
     return [NormedSpace(dim=dim, primal_exponent=p) for p in SPACE_GRID]
 
 
+def _checked_sizes(sizes: dict | None) -> dict:
+    """DEFAULT_SIZES updated by ``sizes``, each key known and each size an
+    integer its check can use; a ValueError names the first that is not."""
+    sizes = sizes or {}
+    for key, size in sizes.items():
+        if key not in DEFAULT_SIZES:
+            raise ValueError(f"unknown verify size {key!r}")
+        if (isinstance(size, bool) or not isinstance(size, int)
+                or size < _SIZE_FLOORS[key]):
+            raise ValueError(f"verify size {key!r} must be an integer >= "
+                             f"{_SIZE_FLOORS[key]}, got {size!r}")
+    return {**DEFAULT_SIZES, **sizes}
+
+
+def _pairwise_sum(draw, n: int, leaf: int = _LEAF):
+    """``np.add.reduce(values, axis=-1)`` of n values that ``draw(m)`` hands
+    over in stream order, m at a time, at most ``leaf`` of them at once.
+
+    n is split as numpy's pairwise summation splits it (half, rounded down
+    to a multiple of 8) until a segment fits in a leaf, and each leaf is
+    reduced by numpy itself, so the sum has the bits of one reduce over the
+    whole stream.  ``draw`` may return (k, m) to sum k streams at once;
+    ``leaf`` must be at least numpy's unsplit block of 128.
+    """
+    if n <= leaf:
+        return np.add.reduce(draw(n), axis=-1)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(draw, half, leaf) + _pairwise_sum(draw, n - half, leaf)
+
+
+def _paired_draw(rng: np.random.Generator, n: int, leaf_rows: int, first, second):
+    """``take(m)``: the next m rows of ``first(rng, n)`` and of
+    ``second(rng, n)``, two whole draws taken from ``rng`` one after the
+    other, as a pair of leaves.
+
+    A copy of ``rng`` supplies the first draw.  ``rng`` itself walks past
+    it, ``leaf_rows`` rows at a time, and then supplies the second, so the
+    leaves have the bits of the whole draws and ``rng`` ends where they
+    leave it.  Both draws must give the same rows however they are split.
+    """
+    ahead = copy.deepcopy(rng)
+    for start in range(0, n, leaf_rows):
+        first(rng, min(leaf_rows, n - start))
+    return lambda m: (first(ahead, m), second(rng, m))
+
+
 def run_verification_suite(seed: int = 0, sizes: dict | None = None,
                            delta: float = 0.1) -> list[CheckResult]:
-    sz = dict(DEFAULT_SIZES)
-    if sizes:
-        sz.update(sizes)
+    """Every check at ``seed``, sized by DEFAULT_SIZES updated by ``sizes``;
+    an unknown key or a size its check cannot use is a ValueError naming
+    the key."""
+    sz = _checked_sizes(sizes)
     rng = np.random.default_rng([seed, 0x7E51])
     results: list[CheckResult] = []
     dim = 8
@@ -280,16 +338,38 @@ def oracle_moment_checks(problem, space: NormedSpace, rng: np.random.Generator,
                          n_unbias: int, n_moment: int) -> list[CheckResult]:
     """The Pareto(1.8) oracle's mean on n_unbias gradients at one point, and
     the closed-form radius moment on n_moment radii, drawn from ``rng`` in
-    that order.  Each batch is freed once its check is done."""
+    that order.
+
+    Both are streamed in leaves: the gradients in the order of
+    :meth:`HeavyTailNoise.sample_batch` (all normals, then all radii), their
+    mean carried row after row as numpy's ``axis=0`` reduce adds them, and
+    each moment summed by :func:`_pairwise_sum`.  So the rows have the bits
+    of the whole-batch draws, and ``rng`` ends in the same state.
+    """
     noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=1.0)
     n = n_unbias
     w = np.full(space.dim, 0.7)
     grad = problem.gradient(w)
-    g = noise.sample_batch(problem, space, w, rng, n)
-    mean_err = float(space.dual_norm(g.mean(axis=0) - grad))
-    np.subtract(g, grad, out=g)  # the noise, in place
-    emp = float(np.mean(np.asarray(space.dual_norm(g)) ** 1.5))
-    del g
+    rows = _LEAF // space.dim
+    take = _paired_draw(rng, n, rows,
+                        lambda gen, m: gen.standard_normal((m, space.dim)),
+                        noise.sample_radii)
+    total = np.zeros((1, space.dim))  # the running row sum, first in each reduce
+
+    def noise_powers(m):
+        # sample_batch's arithmetic, in the buffer of the normals
+        u, radii = take(m)
+        norms = np.asarray(space.dual_norm(u))[:, np.newaxis]
+        norms[norms == 0.0] = 1.0
+        np.multiply(u, radii[:, np.newaxis], out=u)
+        np.divide(u, norms, out=u)
+        g = np.add(u, grad, out=u)
+        total[:] = np.add.reduce(np.concatenate((total, g)), axis=0)
+        np.subtract(g, grad, out=g)  # the noise, in place
+        return np.asarray(space.dual_norm(g)) ** 1.5
+
+    emp = float(_pairwise_sum(noise_powers, n, rows) / n)
+    mean_err = float(space.dual_norm(total[0] / n - grad))
     tol = 3.0 * emp ** (1 / 1.5) * n ** (-(1.5 - 1) / 1.5)
     results = [CheckResult("oracle_unbiased", n, int(mean_err > tol),
                            mean_err, mean_err <= tol, note=f"tol={tol:.3g}")]
@@ -298,16 +378,22 @@ def oracle_moment_checks(problem, space: NormedSpace, rng: np.random.Generator,
     # so the sample mean has a standard error to set the tolerance by; at
     # k >= tail/2 the sample mean converges slower than any fixed tolerance.
     n = n_moment
-    radii = noise.sample_radii(rng, n)
-    k = 0.5  # R^k is an in-place square root
+    k, z = 0.5, 5.0  # R^k is a square root
     target = noise.radius_moment(k)
     rel_se = math.sqrt((noise.radius_moment(2 * k) - target ** 2) / n) / target
-    rel_bound = 5.0 * rel_se
-    rel = abs(float(np.mean(np.sqrt(radii, out=radii))) / target - 1.0)
+    rel_bound = z * rel_se
+    roots = np.empty(_LEAF)  # a leaf's roots, reused
+
+    def leaf(m):
+        return np.sqrt(noise.sample_radii(rng, m), out=roots[:m])
+
+    rel = abs(float(_pairwise_sum(leaf, n) / n) / target - 1.0)
+    false_alarm = math.erfc(z / math.sqrt(2.0))  # two-sided
     results.append(CheckResult("pareto_moment_closed_form", n, int(rel > rel_bound),
                                rel, rel <= rel_bound,
                                note=f"E R^{k:g} = {target:.6g}, tol {rel_bound:.2g} "
-                                    f"rel (5 s.e.)"))
+                                    f"rel ({z:g} s.e.); false alarm "
+                                    f"{false_alarm:.2g} (normal approx)"))
     return results
 
 
@@ -331,26 +417,38 @@ def tail_moment_checks(seed: int, n_seeds: int, n: int) -> list[CheckResult]:
     probability at most C(n_seeds, m) alpha^m, m being one more than the
     misses it allows.
 
-    At most two streams are held at once: the current draw and one scratch
-    buffer for its powers, whose first tenth is the prefix.
+    Each stream is drawn and reduced in leaves by :func:`_pairwise_sum`,
+    its squares and roots in one pass into one reused buffer, and its first
+    tenth in a second pass from a fresh generator with the stream's seed;
+    the means have the bits of whole-stream means.
     """
     grow, stable = 0, 0
     heavy = HeavyTailNoise(p_moment=1.2, tail_index=1.5)
     clip_ref = conc.clipped_pareto_second_moment(heavy.tail_index, heavy.scale,
                                                  100.0)
-    k, z = 0.5, 3.5  # R^k is an in-place square root
+    k, z = 0.5, 3.5  # R^k is a square root
     sigma = math.sqrt(heavy.radius_moment(2 * k) - heavy.radius_moment(k) ** 2)
     tol = z * 3.0 * sigma / math.sqrt(n)
     n10 = n // 10
-    power = np.empty(n)
+    powers = np.empty((2, _LEAF))  # a leaf's squares and roots, reused
+
+    def stream(i):
+        """the squares and roots of stream i, leaf by leaf from its start"""
+        rng = np.random.default_rng([seed, 0x7A11, i])
+
+        def leaf(m):
+            r = heavy.sample_radii(rng, m)
+            np.square(r, out=powers[0, :m])
+            np.sqrt(r, out=powers[1, :m])
+            return powers[:, :m]
+        return leaf
+
     for i in range(n_seeds):
-        r = heavy.sample_radii(np.random.default_rng([seed, 0x7A11, i]), n)
-        if np.mean(np.square(r, out=power)) > 1.2 * clip_ref:
-            grow += 1
-        np.sqrt(r, out=power)
-        del r  # before the next stream is drawn
-        if abs(np.mean(power) - np.mean(power[:n10])) <= tol:
-            stable += 1
+        square, root = _pairwise_sum(stream(i), n) / n
+        first_tenth = stream(i)
+        prefix = _pairwise_sum(lambda m: first_tenth(m)[1], n10) / n10
+        grow += bool(square > 1.2 * clip_ref)
+        stable += bool(abs(root - prefix) <= tol)
     need = math.ceil(0.8 * n_seeds)
     misses = n_seeds - need + 1
     false_alarm = math.comb(n_seeds, misses) * math.erfc(z / math.sqrt(2.0)) ** misses
@@ -367,16 +465,29 @@ def majorant_checks(space: NormedSpace, rng: np.random.Generator,
                     n_streams: int) -> list[CheckResult]:
     """The s-sequence majorant against ||sum_t X_t|| on n_streams streams
     of each length 1, 10 and 100: Gaussian increments with lognormal(0, 1.5)
-    scales, drawn from ``rng`` length by length."""
+    scales, drawn from ``rng`` length by length, all normals before all
+    scales.
+
+    The streams are drawn and checked a leaf of streams at a time by
+    :func:`_paired_draw`, so each slack has the bits of the whole draw and
+    ``rng`` ends in the same state.
+    """
     tag = f"dual_r={space.dual_exponent:g}"
     results = []
     for length in (1, 10, 100):
-        xs = (rng.standard_normal((n_streams, length, space.dim))
-              * rng.lognormal(0, 1.5, (n_streams, length, 1)))
-        maj = conc.s_sequence_majorant_batch(xs, space)
-        sums = np.asarray(space.dual_norm(np.sum(xs, axis=1)))
+        rows = max(1, _LEAF // (length * (space.dim + 1)))
+        take = _paired_draw(rng, n_streams, rows,
+                            lambda gen, m: gen.standard_normal((m, length, space.dim)),
+                            lambda gen, m: gen.lognormal(0, 1.5, (m, length, 1)))
+        slack = np.empty(n_streams)
+        for start in range(0, n_streams, rows):
+            u, scales = take(min(rows, n_streams - start))
+            xs = np.multiply(u, scales, out=u)
+            maj = conc.s_sequence_majorant_batch(xs, space)
+            sums = np.asarray(space.dual_norm(np.sum(xs, axis=1)))
+            slack[start:start + len(xs)] = maj - sums
         # check names land in a CSV report: keep them comma-free
-        results.append(_slack_check(f"s_majorant[{tag};T={length}]", maj - sums, 1e-9))
+        results.append(_slack_check(f"s_majorant[{tag};T={length}]", slack, 1e-9))
     return results
 
 

@@ -8,10 +8,13 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from tailopt.concentration import clipped_pareto_second_moment
-from tailopt.problems import pareto_radii
-from tailopt.verify import tail_moment_checks
+from tailopt.problems import make_problem, pareto_radii
+from tailopt.spaces import NormedSpace
+from tailopt.verify import (_LEAF, majorant_checks, oracle_moment_checks,
+                            tail_moment_checks)
 
 
 def _traced_peak(fn):
@@ -32,10 +35,26 @@ def test_pareto_radii_holds_one_array():
     assert peak <= 1.1 * r.nbytes, peak / r.nbytes
 
 
-def test_tail_moment_checks_hold_at_most_two_streams():
-    n = 10**6
-    _, peak = _traced_peak(lambda: tail_moment_checks(0, 3, n))
-    assert peak <= 2.1 * 8 * n, peak / (8 * n)
+# each check at n draws in all: n radii per stream, n radii after n/8
+# oracle rows of dim 8, n/500 streams of each length, the longest of 100
+# steps of 4 values and their 100 scales
+STREAMED = {
+    "tail_moment_checks": lambda n: tail_moment_checks(0, 2, n),
+    "oracle_moment_checks": lambda n: oracle_moment_checks(
+        make_problem("cosine_sum", 8), NormedSpace.euclidean(8),
+        np.random.default_rng(0), n // 8, n),
+    "majorant_checks": lambda n: majorant_checks(
+        NormedSpace(dim=4, primal_exponent=1.5), np.random.default_rng(0), n // 500),
+}
+
+
+@pytest.mark.parametrize("check", STREAMED)
+def test_streamed_checks_hold_a_few_leaves(check):
+    # a fixed number of leaves, whatever the stream length: at n = 1e6 a
+    # whole stream is about 8 leaves, at 4e6 about 30
+    for n in (10**6, 4 * 10**6):
+        _, peak = _traced_peak(lambda: STREAMED[check](n))
+        assert peak <= 5 * 8 * _LEAF, (n, peak / (8 * _LEAF))
 
 
 def test_tail_moment_checks_match_the_per_stream_powers():
