@@ -29,9 +29,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out or [lo, hi]
 
 
-def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               log_x: bool = False, log_y: bool = False) -> str:
-    """Render [(x, y, label), ...] as a standalone SVG string."""
+def line_chart(path: str, series, title: str, x_label: str, y_label: str,
+               log_x: bool = False, log_y: bool = False):
+    """Write [(x, y, label), ...] to ``path`` as a standalone SVG chart."""
     prepared = []
     for x, y, label in series:
         x = np.asarray(x, dtype=float)
@@ -63,12 +63,11 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
              f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    if title:
-        parts.append(f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
-    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
-                 f'height="{_H - _MT - _MB}" fill="none" stroke="#333"/>')
+             f'<rect width="{_W}" height="{_H}" fill="white"/>',
+             f'<text x="{_W / 2}" y="20" text-anchor="middle" '
+             f'font-size="14">{title}</text>',
+             f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+             f'height="{_H - _MT - _MB}" fill="none" stroke="#333"/>']
     for t in _ticks(x_lo, x_hi):
         px = sx(t)
         label = f"1e{t:g}" if log_x else f"{t:g}"
@@ -83,12 +82,10 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
                      f'y2="{py:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py + 3:.1f}" '
                      f'text-anchor="end">{label}</text>')
-    if x_label:
-        parts.append(f'<text x="{_W / 2}" y="{_H - 10}" '
-                     f'text-anchor="middle">{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="16" y="{_H / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {_H / 2})">{y_label}</text>')
+    parts.append(f'<text x="{_W / 2}" y="{_H - 10}" '
+                 f'text-anchor="middle">{x_label}</text>')
+    parts.append(f'<text x="16" y="{_H / 2}" text-anchor="middle" '
+                 f'transform="rotate(-90 16 {_H / 2})">{y_label}</text>')
     for i, (x, y, label) in enumerate(prepared):
         color = _COLORS[i % len(_COLORS)]
         stride = max(1, x.size // 2000)  # cap path size for long trajectories
@@ -96,8 +93,8 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
                        for a, b in zip(x[::stride], y[::stride]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
-        if label:
-            parts.append(f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 14 * i}" '
-                         f'text-anchor="end" fill="{color}">{label}</text>')
+        parts.append(f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 14 * i}" '
+                     f'text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    return "\n".join(parts)
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))

@@ -1,6 +1,8 @@
 """Command-line harness: run, rate-sweep, burn-in, verify, concentration.
 
-Exit codes: 0 success, 1 invariant/check failure, 2 configuration error.
+It parses arguments, prints, and maps exit codes; ``tailopt.harness``
+writes every file.  Exit codes: 0 success, 1 invariant/check failure,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 from tailopt.analysis import fit_rate_exponent
 from tailopt.harness import (MAX_ARRAY_LEN, ConfigError, RunConfig,
                              burn_in_compare, check_trajectory_invariants,
-                             make_output_dir, rate_sweep, run)
+                             make_output_dir, rate_sweep, run, write_config,
+                             write_csv, write_key_values)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -82,28 +85,24 @@ def _cmd_rate_sweep(args) -> int:
     grid = _parse_grid(args.T_grid)
     make_output_dir(cfg.out)
     result = rate_sweep(cfg, grid)
-    print("T,avg_grad_norm,min_grad_norm")
-    for row in result.rows():
-        print(f"{row['T']},{row['avg_grad_norm']:.6g},{row['min_grad_norm']:.6g}")
+    header = "T,avg_grad_norm,min_grad_norm"
+    print(header)
+    for T, avg, low in result.rows():
+        print(f"{T},{avg:.6g},{low:.6g}")
     print(f"fitted slope: {result.slope:.4f} +/- {result.stderr:.4f} "
           f"(scheduled: {result.target:.4f})")
     if cfg.out:
-        with open(os.path.join(cfg.out, "rate_sweep.csv"), "w") as fh:
-            fh.write("T,avg_grad_norm,min_grad_norm\n")
-            for row in result.rows():
-                fh.write(f"{row['T']},{row['avg_grad_norm']:.17g},"
-                         f"{row['min_grad_norm']:.17g}\n")
-        with open(os.path.join(cfg.out, "rate_fit.txt"), "w") as fh:
-            fh.write(f"slope={result.slope:.17g}\nstderr={result.stderr:.17g}\n"
-                     f"target={result.target:.17g}\n")
+        write_config(cfg)
+        write_csv(os.path.join(cfg.out, "rate_sweep.csv"), header, result.rows())
+        write_key_values(os.path.join(cfg.out, "rate_fit.txt"),
+                         {k: getattr(result, k) for k in ("slope", "stderr", "target")})
         if args.plots:
             from tailopt._svg import line_chart
-            with open(os.path.join(cfg.out, "rate_fit.svg"), "w") as fh:
-                fh.write(line_chart(
-                    [(result.horizons, result.avg_grad, "avg ||grad||"),
-                     (result.horizons, result.min_grad, "min ||grad||")],
-                    title="rate sweep", x_label="log10 T", y_label="log10 metric",
-                    log_x=True, log_y=True))
+            line_chart(os.path.join(cfg.out, "rate_fit.svg"),
+                       [(result.horizons, result.avg_grad, "avg ||grad||"),
+                        (result.horizons, result.min_grad, "min ||grad||")],
+                       title="rate sweep", x_label="log10 T",
+                       y_label="log10 metric", log_x=True, log_y=True)
     return 0
 
 
@@ -119,13 +118,13 @@ def _cmd_burn_in(args) -> int:
               f"{s['min_grad_mean']:.4g} +/- {s['min_grad_band']:.2g}, "
               f"post-burn-in descent violations/seed = {s['violations_mean']:.2f}")
     if cfg.out:
-        with open(os.path.join(cfg.out, "burn_in_compare.csv"), "w") as fh:
-            fh.write("mode,seed,final_f,min_grad_norm,post_burn_in_violations\n")
-            for mode in ("none", "hold"):
-                for i, seed in enumerate(range(cfg.seed, cfg.seed + len(result.final_f[mode]))):
-                    fh.write(f"{mode},{seed},{result.final_f[mode][i]:.17g},"
-                             f"{result.min_grad[mode][i]:.17g},"
-                             f"{result.post_burn_in_violations[mode][i]}\n")
+        write_config(cfg)
+        write_csv(os.path.join(cfg.out, "burn_in_compare.csv"),
+                  "mode,seed,final_f,min_grad_norm,post_burn_in_violations",
+                  [(mode, cfg.seed + i, *cells) for mode in ("none", "hold")
+                   for i, cells in enumerate(zip(
+                       result.final_f[mode], result.min_grad[mode],
+                       result.post_burn_in_violations[mode]))])
     return 0
 
 
@@ -149,12 +148,9 @@ def _cmd_verify(args) -> int:
               + (f"  [{r.note}]" if r.note else ""))
     print(f"{len(results) - failures}/{len(results)} checks passed")
     if args.out:
-        with open(os.path.join(args.out, "verify_report.csv"), "w") as fh:
-            fh.write("check,samples,violations,worst,pass\n")
-            for r in results:
-                row = r.row()
-                fh.write(f"{row['check']},{row['samples']},{row['violations']},"
-                         f"{row['worst']:.17g},{row['pass']}\n")
+        write_csv(os.path.join(args.out, "verify_report.csv"),
+                  "check,samples,violations,worst,pass",
+                  [tuple(r.row().values()) for r in results])
     return 1 if failures else 0
 
 
@@ -174,18 +170,18 @@ def _cmd_concentration(args) -> int:
     rng = np.random.default_rng([args.seed, 0xC0FE])
     header = "lemma,delta,trials,coverage,ci_low,ci_high,pass"
     print(header)
-    lines = [header]
+    rows = []  # the printed table, as text cells
     ok = True
     for name, level, res in coverage_rows(args.trials, args.length, args.delta, rng):
         passed = res.meets(level)
-        line = (f"{name.replace('coverage_', '')},{args.delta},{args.trials},"
-                f"{res.coverage:.6f},{res.ci_low:.6f},{res.ci_high:.6f},{int(passed)}")
-        print(line)
-        lines.append(line)
+        row = (name.replace("coverage_", ""), str(args.delta), str(args.trials),
+               *(f"{v:.6f}" for v in (res.coverage, res.ci_low, res.ci_high)),
+               str(int(passed)))
+        print(",".join(row))
+        rows.append(row)
         ok &= passed
     if args.out:
-        with open(os.path.join(args.out, "concentration_report.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(os.path.join(args.out, "concentration_report.csv"), header, rows)
     return 0 if ok else 1
 
 

@@ -179,7 +179,7 @@ class WeightedStreamSpec:
     weights b_t in (0, 1] (B = max b_t <= 1), per-step moment bounds
     E||X_t||^p_moment <= moment_bounds[t]^p_moment, truncation threshold,
     failure probability, and the smooth constant C of the (2, C)-smooth
-    space for the Banach variant.
+    space for the Banach variant.  Both arrays are read-only copies.
     """
 
     weights: np.ndarray
@@ -190,9 +190,9 @@ class WeightedStreamSpec:
     smooth_constant: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "moment_bounds",
-                           np.asarray(self.moment_bounds, dtype=float))
+        for name in ("weights", "moment_bounds"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
         if self.weights.shape != self.moment_bounds.shape:
             raise ValueError("weights and moment bounds must align")
         if np.any(self.weights <= 0.0) or np.max(self.weights) > 1.0:

@@ -6,8 +6,7 @@ and executed seed by seed.  Every run directory is self-describing: the
 resolved config is echoed verbatim alongside the trajectory CSV, the
 burn-in certificate, and a summary.
 
-Trajectory CSV schema (floats serialized with 17 significant digits so
-they round-trip exactly):
+Trajectory CSV schema (floats at 17 significant digits, which round-trip):
 
     t,f,grad_norm,m_norm,eps_hat,eps,clipped,eta
 
@@ -239,6 +238,15 @@ class Experiment:
     lr_seq: np.ndarray
 
 
+def _frozen(record):
+    """``record`` with its array fields, and the arrays in its dict fields, read-only."""
+    for value in vars(record).values():
+        for arr in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+    return record
+
+
 def _burn_in(config: RunConfig, cert: BurnInCertificate, horizon: int) -> int:
     """The hold length of "hold" warmup and the step after which descent
     violations count: ``warmup_steps`` capped at the horizon, if set."""
@@ -303,9 +311,8 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
     _require_finite(f"s, b, {g_fields}", "the descent threshold",
                     cert.momentum_threshold)
     lr_seq = warmup_lr_schedule(hp, _burn_in(config, cert, T), config.warmup)
-    lr_seq.flags.writeable = False
-    return Experiment(config=config, problem=problem, noise=noise, space=space,
-                      hp=hp, cert=cert, lr_seq=lr_seq)
+    return _frozen(Experiment(config=config, problem=problem, noise=noise,
+                              space=space, hp=hp, cert=cert, lr_seq=lr_seq))
 
 
 @dataclass(frozen=True)
@@ -410,19 +417,13 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
         step_len[block] = space.primal_norm(w_buf[1:n + 1] - w)
         w_norm[block] = space.primal_norm(w)
     clipped = (sample_norm > hp.tau).astype(np.uint8)
-    traj = Trajectory(seed=seed, algorithm=exp.config.algorithm, hp=hp,
-                      cert=exp.cert, steps=np.arange(1, T + 1),
-                      objective=objective, grad_norm=grad_norm, m_norm=m_norm,
-                      eps_hat=eps_hat, eps=eps, clipped=clipped,
-                      lr=exp.lr_seq, sample_norm=sample_norm,
-                      step_len=step_len, w_norm=w_norm,
-                      final_w=state.w.copy(), final_f=float(problem.value(state.w)),
-                      selected_step=recommend_output(m_norm, exp.cert.burn_in))
-    for arr in (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
-                traj.eps_hat, traj.eps, traj.clipped, traj.lr, traj.sample_norm,
-                traj.step_len, traj.w_norm, traj.final_w):
-        arr.flags.writeable = False
-    return traj
+    return _frozen(Trajectory(
+        seed=seed, algorithm=exp.config.algorithm, hp=hp, cert=exp.cert,
+        steps=np.arange(1, T + 1), objective=objective, grad_norm=grad_norm,
+        m_norm=m_norm, eps_hat=eps_hat, eps=eps, clipped=clipped, lr=exp.lr_seq,
+        sample_norm=sample_norm, step_len=step_len, w_norm=w_norm,
+        final_w=state.w.copy(), final_f=float(problem.value(state.w)),
+        selected_step=recommend_output(m_norm, exp.cert.burn_in)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +500,41 @@ def last_iterate_check(traj: Trajectory) -> bool:
 # persistence
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _row_format(cells, sep: str = ",") -> str:
+    """The % format of an artifact line of ``cells``: a float at the 17
+    significant digits that round-trip exactly, any other cell as %s."""
+    return sep.join("%.17g" if isinstance(c, float) else "%s" for c in cells) + "\n"
 
 
-# one row of CSV_HEADER; "%.17g" % x is the same text as _fmt(x)
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+def write_csv(path: str, header: str, rows):
+    """Write ``header`` and one line per row, a tuple of cells; the format
+    is derived once, from the first row, whose cell types every row shares."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        if first is not None:
+            fmt = _row_format(first)
+            fh.write(fmt % first)
+            fh.write("".join(fmt % row for row in rows))
+
+
+def write_key_values(path: str, entries: dict):
+    """One key=value line per entry, each value formatted as a CSV cell."""
+    with open(path, "w") as fh:
+        fh.write("".join(_row_format(e, "=") % e for e in entries.items()))
+
+
+def write_config(config: RunConfig):
+    """Echo the resolved config into ``config.out`` as config.txt."""
+    with open(os.path.join(config.out, "config.txt"), "w") as fh:
+        fh.write(config.to_ini())
 
 
 def write_trajectory_csv(traj: Trajectory, path: str):
     columns = (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
                traj.eps_hat, traj.eps, traj.clipped, traj.lr)
-    rows = zip(*(c.tolist() for c in columns))
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write("".join(_CSV_ROW % row for row in rows))
-
-
-def write_key_values(path: str, entries: dict):
-    with open(path, "w") as fh:
-        for key, value in entries.items():
-            if isinstance(value, float):
-                fh.write(f"{key}={_fmt(value)}\n")
-            else:
-                fh.write(f"{key}={value}\n")
+    write_csv(path, CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
@@ -558,8 +570,7 @@ def run(config: RunConfig, plots: bool = False) -> list[Trajectory]:
     trajectories = [run_trajectory(exp, config.seed + i)
                     for i in range(config.seeds)]
     if out:
-        with open(os.path.join(out, "config.txt"), "w") as fh:
-            fh.write(config.to_ini())
+        write_config(config)
         for traj in trajectories:
             sub = make_output_dir(os.path.join(out, f"seed_{traj.seed:04d}"))
             write_trajectory_csv(traj, os.path.join(sub, "trajectory.csv"))
@@ -568,15 +579,13 @@ def run(config: RunConfig, plots: bool = False) -> list[Trajectory]:
             write_key_values(os.path.join(sub, "summary.txt"), traj.summary())
             if plots:
                 from tailopt._svg import line_chart
-                with open(os.path.join(sub, "objective.svg"), "w") as fh:
-                    fh.write(line_chart([(traj.steps, traj.objective, "F(w_t)")],
-                                        title="objective", x_label="t",
-                                        y_label="F"))
-                with open(os.path.join(sub, "grad_norm.svg"), "w") as fh:
-                    fh.write(line_chart([(traj.steps, traj.grad_norm,
-                                          "||grad F(w_t)||")],
-                                        title="gradient norm", x_label="t",
-                                        y_label="dual norm", log_y=True))
+                line_chart(os.path.join(sub, "objective.svg"),
+                           [(traj.steps, traj.objective, "F(w_t)")],
+                           title="objective", x_label="t", y_label="F")
+                line_chart(os.path.join(sub, "grad_norm.svg"),
+                           [(traj.steps, traj.grad_norm, "||grad F(w_t)||")],
+                           title="gradient norm", x_label="t",
+                           y_label="dual norm", log_y=True)
     return trajectories
 
 
@@ -586,16 +595,16 @@ def run(config: RunConfig, plots: bool = False) -> list[Trajectory]:
 
 @dataclass(frozen=True)
 class RateSweepResult:
-    horizons: np.ndarray
+    horizons: np.ndarray     # read-only, as are the other arrays
     avg_grad: np.ndarray     # seed-averaged mean_t ||grad F(w_t)||
     min_grad: np.ndarray     # seed-averaged min_t ||grad F(w_t)||
     slope: float
     stderr: float
     target: float            # scheduled decay exponent (negated slope target)
 
-    def rows(self) -> list[dict]:
-        return [{"T": int(T), "avg_grad_norm": float(a), "min_grad_norm": float(m)}
-                for T, a, m in zip(self.horizons, self.avg_grad, self.min_grad)]
+    def rows(self) -> list[tuple]:  # (T, avg_grad_norm, min_grad_norm)
+        return list(zip(self.horizons.astype(int).tolist(), self.avg_grad.tolist(),
+                        self.min_grad.tolist()))
 
 
 def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
@@ -613,10 +622,10 @@ def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
         min_rows.append(float(np.mean([t.grad_norm.min() for t in trajs])))
     slope, stderr = fit_rate_exponent(horizons, avg_rows)
     target = rate_exponent(config.p_moment, config.schedule_order)
-    return RateSweepResult(horizons=np.asarray(horizons, dtype=float),
-                           avg_grad=np.asarray(avg_rows),
-                           min_grad=np.asarray(min_rows),
-                           slope=slope, stderr=stderr, target=-target)
+    return _frozen(RateSweepResult(horizons=np.asarray(horizons, dtype=float),
+                                   avg_grad=np.asarray(avg_rows),
+                                   min_grad=np.asarray(min_rows),
+                                   slope=slope, stderr=stderr, target=-target))
 
 
 @dataclass(frozen=True)
@@ -624,7 +633,7 @@ class BurnInCompareResult:
     burn_in: int
     final_f: dict[str, np.ndarray]          # mode -> per-seed final objective
     min_grad: dict[str, np.ndarray]         # mode -> per-seed min grad norm
-    post_burn_in_violations: dict[str, np.ndarray]
+    post_burn_in_violations: dict[str, np.ndarray]  # all arrays read-only
 
     def mode_summary(self, mode: str) -> dict:
         f = self.final_f[mode]
@@ -661,6 +670,6 @@ def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
         min_grad[mode] = np.array([t.grad_norm.min() for t in trajs])
         violations[mode] = np.array(
             [np.sum((t.steps > burn_in) & _non_descent(t)) for t in trajs])
-    return BurnInCompareResult(burn_in=burn_in, final_f=final_f,
-                               min_grad=min_grad,
-                               post_burn_in_violations=violations)
+    return _frozen(BurnInCompareResult(burn_in=burn_in, final_f=final_f,
+                                       min_grad=min_grad,
+                                       post_burn_in_violations=violations))

@@ -145,16 +145,16 @@ def init_state(w_start) -> OptimizerState:
 
 def clipped_momentum_step(state: OptimizerState, sample, hp: HyperParams,
                           space: NormedSpace,
-                          lr: float | None = None) -> tuple[OptimizerState, StepInfo]:
-    """One normalized momentum step on ``sample``, a stochastic gradient the
-    caller drew at its query point: ``state.w``, or
+                          lr: float) -> tuple[OptimizerState, StepInfo]:
+    """One normalized momentum step of length ``lr`` on ``sample``, a
+    stochastic gradient the caller drew at its query point: ``state.w``, or
     ``extrapolation_point(state, hp.beta)``."""
     sample = np.asarray(sample, dtype=float)
     sample_norm = float(space.dual_norm(sample))
     # same arithmetic as space.clip_dual, reusing the norm computed above
     g_clip = sample * (hp.tau / sample_norm) if sample_norm > hp.tau else sample
     m = hp.beta * state.m + (1.0 - hp.beta) * g_clip
-    w_next = state.w - (hp.lr if lr is None else lr) * space.duality_map(m)
+    w_next = state.w - lr * space.duality_map(m)
     return OptimizerState(w_next, state.w, m), StepInfo(sample_norm, g_clip)
 
 

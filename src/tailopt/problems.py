@@ -243,17 +243,19 @@ class HeavyTailNoise:
 
     def sample_batch(self, problem, space: NormedSpace, w,
                      rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent stochastic gradients at the same point w.
-
-        The radius, the norm and the gradient are applied in the buffer of
-        the normal draws, one elementwise operation each, in the order of
-        grad + radii * u / norms.
-        """
+        """n independent stochastic gradients at w: n normal directions,
+        then n radii, combined by :meth:`noisy_gradients`."""
         grad = problem.gradient(w)
         if self.scale == 0.0:
             return np.tile(grad, (n, 1))
         u = rng.standard_normal((n, space.dim))
-        radii = self.sample_radii(rng, n)
+        return self.noisy_gradients(grad, u, self.sample_radii(rng, n), space)
+
+    @staticmethod
+    def noisy_gradients(grad, u: np.ndarray, radii: np.ndarray,
+                        space: NormedSpace) -> np.ndarray:
+        """grad + radii * u / ||u||_dual for (n, dim) normal directions u, in
+        u's buffer one operation at a time; a zero direction adds +0.0."""
         norms = np.asarray(space.dual_norm(u))[:, np.newaxis]
         norms[norms == 0.0] = 1.0
         np.multiply(u, radii[:, np.newaxis], out=u)
@@ -262,8 +264,8 @@ class HeavyTailNoise:
 
 
 def calibrate_grad_bound(problem, noise: HeavyTailNoise, space: NormedSpace,
-                         rng: np.random.Generator, n_samples: int = 100_000,
-                         safety: float = 1.5) -> float:
+                         rng: np.random.Generator, n_samples: int,
+                         safety: float) -> float:
     """Estimate the gradient moment bound G at the starting point.
 
     G = safety * (mean ||grad f(w1, z)||_dual^p)^(1/p).  The safety factor

@@ -81,7 +81,7 @@ class CheckResult:
 
     def row(self) -> dict:
         return {"check": self.name, "samples": self.samples,
-                "violations": self.violations, "worst": self.worst,
+                "violations": self.violations, "worst": float(self.worst),
                 "pass": int(self.passed)}
 
 
@@ -340,11 +340,12 @@ def oracle_moment_checks(problem, space: NormedSpace, rng: np.random.Generator,
     the closed-form radius moment on n_moment radii, drawn from ``rng`` in
     that order.
 
-    Both are streamed in leaves: the gradients in the order of
-    :meth:`HeavyTailNoise.sample_batch` (all normals, then all radii), their
-    mean carried row after row as numpy's ``axis=0`` reduce adds them, and
-    each moment summed by :func:`_pairwise_sum`.  So the rows have the bits
-    of the whole-batch draws, and ``rng`` ends in the same state.
+    Both are streamed in leaves: the gradients drawn as in
+    :meth:`HeavyTailNoise.sample_batch` (all normals, then all radii) and
+    combined by its own ``noisy_gradients``, their mean carried row after
+    row as numpy's ``axis=0`` reduce adds them, and each moment summed by
+    :func:`_pairwise_sum`.  So the rows have the bits of the whole-batch
+    draws, and ``rng`` ends in the same state.
     """
     noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=1.0)
     n = n_unbias
@@ -357,13 +358,7 @@ def oracle_moment_checks(problem, space: NormedSpace, rng: np.random.Generator,
     total = np.zeros((1, space.dim))  # the running row sum, first in each reduce
 
     def noise_powers(m):
-        # sample_batch's arithmetic, in the buffer of the normals
-        u, radii = take(m)
-        norms = np.asarray(space.dual_norm(u))[:, np.newaxis]
-        norms[norms == 0.0] = 1.0
-        np.multiply(u, radii[:, np.newaxis], out=u)
-        np.divide(u, norms, out=u)
-        g = np.add(u, grad, out=u)
+        g = noise.noisy_gradients(grad, *take(m), space)
         total[:] = np.add.reduce(np.concatenate((total, g)), axis=0)
         np.subtract(g, grad, out=g)  # the noise, in place
         return np.asarray(space.dual_norm(g)) ** 1.5

@@ -11,12 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tailopt import cli
+from tailopt.concentration import WeightedStreamSpec, truncated_sum_bound
 from tailopt.harness import (_BLOCK, CSV_HEADER, BurnInCompareResult,
                              ConfigError, RateSweepResult, RunConfig,
                              build_experiment, burn_in_compare,
-                             check_trajectory_invariants, descent_check,
-                             eps_hat_check, last_iterate_check, rate_sweep,
-                             run, run_trajectory, write_trajectory_csv)
+                             certificate_entries, check_trajectory_invariants,
+                             descent_check, eps_hat_check, last_iterate_check,
+                             rate_sweep, run, run_trajectory,
+                             write_trajectory_csv)
 from tailopt.optimizers import (clipped_momentum_step, extrapolation_point,
                                 init_state, recommend_output)
 from tailopt.problems import HeavyTailNoise
@@ -206,6 +208,83 @@ def test_run_writes_artifacts(tmp_path):
         assert "final_f=" in cert_text
     cert = (tmp_path / "exp" / "seed_0003" / "certificate.txt").read_text()
     assert "burn_in=" in cert and "momentum_threshold=" in cert
+
+
+def _text_is(text: str, value) -> bool:
+    """A float cell holds the bits of ``value``; any other cell its str."""
+    if isinstance(value, float):
+        return float(text).hex() == value.hex()
+    return text == str(value)
+
+
+def _assert_csv_round_trips(path, header, rows):
+    lines = path.read_text().splitlines()
+    assert lines[0] == header and len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        assert all(_text_is(c, v) for c, v in zip(cells, row)), (line, row)
+
+
+def _assert_key_values_round_trip(path, entries):
+    lines = path.read_text().splitlines()
+    assert [line.split("=", 1)[0] for line in lines] == list(entries)
+    for line in lines:
+        key, text = line.split("=", 1)
+        assert _text_is(text, entries[key]), (line, entries[key])
+
+
+def test_artifacts_round_trip_bit_for_bit(tmp_path, monkeypatch, capsys):
+    from tailopt.verify import CheckResult
+
+    cfg = small_config(seeds=2, T=300, out=str(tmp_path / "run"))
+    exp = build_experiment(cfg)
+    for traj in run(cfg):
+        sub = tmp_path / "run" / f"seed_{traj.seed:04d}"
+        columns = (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
+                   traj.eps_hat, traj.eps, traj.clipped, traj.lr)
+        _assert_csv_round_trips(sub / "trajectory.csv", CSV_HEADER,
+                                list(zip(*(c.tolist() for c in columns))))
+        _assert_key_values_round_trip(sub / "certificate.txt",
+                                      certificate_entries(exp.hp, exp.cert))
+        _assert_key_values_round_trip(sub / "summary.txt", traj.summary())
+
+    flags = ["--T", "50", "--dim", "3", "--seeds", "2"]
+    out = tmp_path / "sweep"
+    assert cli.main(["rate-sweep", *flags, "--T-grid", "50,200,1600",
+                     "--out", str(out)]) == 0
+    sweep = rate_sweep(RunConfig(T=50, dim=3, seeds=2), [50, 200, 1600])
+    _assert_csv_round_trips(out / "rate_sweep.csv", "T,avg_grad_norm,min_grad_norm",
+                            sweep.rows())
+    _assert_key_values_round_trip(out / "rate_fit.txt",
+                                  {"slope": sweep.slope, "stderr": sweep.stderr,
+                                   "target": sweep.target})
+
+    out = tmp_path / "burn"
+    assert cli.main(["burn-in", *flags, "--out", str(out)]) == 0
+    compare = burn_in_compare(RunConfig(T=50, dim=3, seeds=2))
+    _assert_csv_round_trips(
+        out / "burn_in_compare.csv",
+        "mode,seed,final_f,min_grad_norm,post_burn_in_violations",
+        [(mode, i, float(compare.final_f[mode][i]),
+          float(compare.min_grad[mode][i]),
+          int(compare.post_burn_in_violations[mode][i]))
+         for mode in ("none", "hold") for i in range(2)])
+
+    awkward = [CheckResult("third", 3, 0, 1 / 3, True),
+               CheckResult("tiny", 1, 0, 1e-300, True),
+               CheckResult("subnormal", 1, 0, 5e-324, True),
+               CheckResult("negative_zero", 1, 0, -0.0, True),
+               CheckResult("infinite", 1, 1, math.inf, False),
+               CheckResult("numpy", 1, 0, np.float64(0.1), True)]
+    monkeypatch.setattr("tailopt.verify.run_verification_suite",
+                        lambda seed=0, sizes=None, delta=0.1: awkward)
+    out = tmp_path / "verify"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    _assert_csv_round_trips(out / "verify_report.csv",
+                            "check,samples,violations,worst,pass",
+                            [(r.name, r.samples, r.violations, float(r.worst),
+                              int(r.passed)) for r in awkward])
 
 
 def test_run_zero_noise_descends():
@@ -604,6 +683,23 @@ def test_records_immutable_after_run():
         traj.selected_step = 1
     with pytest.raises(FrozenInstanceError):
         exp.config.T = 10
+    sweep = rate_sweep(small_config(T=50, dim=3), [50, 200, 1600])
+    compare = burn_in_compare(small_config(T=50, dim=3, seeds=2))
+    for arr in (sweep.horizons, sweep.avg_grad, sweep.min_grad,
+                *compare.final_f.values(), *compare.min_grad.values(),
+                *compare.post_burn_in_violations.values()):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the spec keeps a copy: the caller's weights may change afterwards
+    weights = np.full(3, 0.5)
+    spec = WeightedStreamSpec(weights=weights, moment_bounds=np.ones(3),
+                              threshold=2.0, p_moment=1.5, delta=0.1)
+    bound = truncated_sum_bound(spec)
+    weights[:] = 5.0
+    assert truncated_sum_bound(spec) == bound
+    for arr in (spec.weights, spec.moment_bounds):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
 
 
 def test_run_matches_run_trajectory_seed_for_seed():

@@ -62,7 +62,7 @@ def test_step_plain_normalized_sgd():
     hp = _hp(beta=0.0, tau=10.0, lr=0.5)
     state = init_state([1.0, 1.0])
     g = np.array([3.0, 4.0])
-    state2, info = clipped_momentum_step(state, g, hp, sp)
+    state2, info = clipped_momentum_step(state, g, hp, sp, hp.lr)
     np.testing.assert_allclose(state2.w, [1.0 - 0.5 * 0.6, 1.0 - 0.5 * 0.8], rtol=1e-15)
     assert info.sample_norm == 5.0 <= hp.tau  # not clipped
     np.testing.assert_array_equal(info.g_clip, g)
@@ -73,7 +73,7 @@ def test_step_zero_signal_takes_no_step():
     sp = NormedSpace.euclidean(2)
     hp = _hp(beta=0.5, tau=1.0, lr=0.5)
     state = init_state([2.0, -1.0])
-    state2, _ = clipped_momentum_step(state, np.zeros(2), hp, sp)
+    state2, _ = clipped_momentum_step(state, np.zeros(2), hp, sp, hp.lr)
     np.testing.assert_array_equal(state2.w, state.w)  # d(0) = 0 convention
 
 
@@ -89,7 +89,7 @@ def test_step_rejects_sample_of_wrong_dim(p, sample_dim):
     for query in (state.w, extrapolation_point(state, hp.beta)):
         sample = np.full(sample_dim, query[0])
         with pytest.raises(ValueError, match="dim"):
-            clipped_momentum_step(state, sample, hp, sp)
+            clipped_momentum_step(state, sample, hp, sp, hp.lr)
 
 
 def test_step_hand_arithmetic():
@@ -97,7 +97,7 @@ def test_step_hand_arithmetic():
     sp = NormedSpace.euclidean(2)
     hp = _hp(beta=0.5, tau=2.0, lr=0.1)
     state = init_state([0.0, 0.0])._replace(m=np.array([1.0, 0.0]))
-    state2, info = clipped_momentum_step(state, np.array([0.0, 3.0]), hp, sp)
+    state2, info = clipped_momentum_step(state, np.array([0.0, 3.0]), hp, sp, hp.lr)
     np.testing.assert_allclose(state2.m, [0.5, 1.0], rtol=1e-15)
     n = math.hypot(0.5, 1.0)
     np.testing.assert_allclose(state2.w, -0.1 * np.array([0.5, 1.0]) / n, rtol=1e-14)
@@ -126,9 +126,9 @@ def test_extrapolated_equals_plain_at_beta_zero():
     sa = init_state(np.ones(3))
     sb = init_state(np.ones(3))
     for z in noise:
-        sa, _ = clipped_momentum_step(sa, prob.gradient(sa.w) + z, hp, sp)
+        sa, _ = clipped_momentum_step(sa, prob.gradient(sa.w) + z, hp, sp, hp.lr)
         query = extrapolation_point(sb, hp.beta)
-        sb, _ = clipped_momentum_step(sb, prob.gradient(query) + z, hp, sp)
+        sb, _ = clipped_momentum_step(sb, prob.gradient(query) + z, hp, sp, hp.lr)
         np.testing.assert_array_equal(sa.w, sb.w)
         np.testing.assert_array_equal(sa.m, sb.m)
 
@@ -148,7 +148,7 @@ def test_extrapolated_deterministic_quadratic_hand_recursion():
     got_w = []
     for _ in range(5):
         query = extrapolation_point(state, hp.beta)
-        state, _ = clipped_momentum_step(state, prob.gradient(query), hp, sp)
+        state, _ = clipped_momentum_step(state, prob.gradient(query), hp, sp, hp.lr)
         got_w.append(state.w[0])
     # hand recursion
     w, w_prev, m = 3.0, 3.0, 0.0
@@ -171,7 +171,7 @@ def test_step_length_and_momentum_ball_invariants():
     state = init_state(prob.start)
     for _ in range(300):
         g = noise.sample(prob, sp, state.w, rng)
-        new_state, _ = clipped_momentum_step(state, g, hp, sp)
+        new_state, _ = clipped_momentum_step(state, g, hp, sp, hp.lr)
         if np.any(new_state.m != 0.0):
             step_len = sp.primal_norm(new_state.w - state.w)
             assert abs(step_len - hp.lr) <= 1e-12 * hp.lr

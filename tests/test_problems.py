@@ -314,6 +314,8 @@ def test_calibration_validates_inputs():
     noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8)
     sp = NormedSpace.euclidean(2)
     with pytest.raises(ValueError):
-        calibrate_grad_bound(prob, noise, sp, np.random.default_rng(0), n_samples=100)
+        calibrate_grad_bound(prob, noise, sp, np.random.default_rng(0),
+                             n_samples=100, safety=1.5)
     with pytest.raises(ValueError):
-        calibrate_grad_bound(prob, noise, sp, np.random.default_rng(0), safety=0.5)
+        calibrate_grad_bound(prob, noise, sp, np.random.default_rng(0),
+                             n_samples=20_000, safety=0.5)

@@ -1,8 +1,14 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and its list of output files is
+what the commands write."""
 
 import math
 import os
 import re
+
+import pytest
+
+from tailopt import cli
+from tailopt.verify import CheckResult
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -17,3 +23,45 @@ def test_readme_python_tour_runs(capsys):
     values = [float(v) for v in capsys.readouterr().out.split()]
     assert len(values) == 4 and all(math.isfinite(v) for v in values)
     assert values[0] > 0 and values[1] >= 0 and values[3] >= 0
+
+
+# the README's table of output files: command (with --plots or not), file, format
+_FILE_ROW = re.compile(r"^\| `([a-z-]+)( --plots)?` \| `([^`]+)` \| (.+) \|$", re.M)
+
+# each command at a tiny size
+_TINY = {"run": ["--T", "50", "--dim", "3", "--seeds", "2"],
+         "rate-sweep": ["--T-grid", "50,200,1600", "--dim", "3"],
+         "burn-in": ["--T", "50", "--dim", "3", "--seeds", "2"],
+         "verify": [],
+         "concentration": ["--trials", "50", "--length", "5"]}
+
+
+def _readme_files():
+    with open(README, encoding="utf-8") as fh:
+        return _FILE_ROW.findall(fh.read())
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--plots"], ["rate-sweep"],
+                                  ["rate-sweep", "--plots"], ["burn-in"],
+                                  ["verify"], ["concentration"]],
+                         ids=" ".join)
+def test_readme_lists_every_file_each_command_writes(tmp_path, monkeypatch,
+                                                     capsys, argv):
+    def stub_suite(seed=0, sizes=None, delta=0.1):  # the report, not the checks
+        return [CheckResult("stub", 1, 0, 0.5, True)]
+
+    monkeypatch.setattr("tailopt.verify.run_verification_suite", stub_suite)
+    out = tmp_path / "out"
+    assert cli.main([*argv, *_TINY[argv[0]], "--out", str(out)]) == 0
+    listed = {file: fmt for command, plots, file, fmt in _readme_files()
+              if command == argv[0] and (not plots or "--plots" in argv)}
+    written = {}
+    for path in out.rglob("*"):
+        if path.is_file():
+            written[re.sub(r"seed_\d{4}", "seed_NNNN",
+                           path.relative_to(out).as_posix())] = path
+    assert set(written) == set(listed)
+    for file, path in written.items():
+        header = re.match(r"CSV `([^`]+)`", listed[file])
+        if header:
+            assert path.read_text().splitlines()[0] == header.group(1)

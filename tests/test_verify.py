@@ -35,6 +35,27 @@ def test_p_moment_stabilizes_fails_below_twice_its_order(monkeypatch):
         assert not stabilizes.passed, (seed, stabilizes.worst)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_unbiased_fails_on_a_biased_oracle(monkeypatch, seed):
+    # the check runs the oracle's own arithmetic, so a constant bias in it
+    # shows, while the oracle as it is passes on the same draws
+    problem, space = make_problem("cosine_sum", 8), NormedSpace.euclidean(8)
+
+    def oracle_check():
+        return oracle_moment_checks(problem, space, np.random.default_rng(seed),
+                                    100_000, 10)[0]
+
+    check = oracle_check()
+    assert check.name == "oracle_unbiased" and check.passed
+    noisy_gradients = HeavyTailNoise.noisy_gradients
+
+    def biased(grad, u, radii, space):
+        return noisy_gradients(grad, u, radii, space) + 0.5
+
+    monkeypatch.setattr(HeavyTailNoise, "noisy_gradients", staticmethod(biased))
+    assert not oracle_check().passed
+
+
 @pytest.mark.parametrize("key, size", [
     ("tail_n", 5), ("moment_n", 0), ("majorant_streams", 0), ("duality", 0),
     ("power_mean", 10), ("coverage_trials", 0), ("tail_seeds", 0),
