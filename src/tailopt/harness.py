@@ -458,41 +458,43 @@ def check_trajectory_invariants(traj: Trajectory,
             "tau_consistency": bool(ok_tau)}
 
 
-def _non_descent(traj: Trajectory) -> np.ndarray:
-    """Per step t: F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + 1e-9."""
-    f_next = np.append(traj.objective[1:], traj.final_f)
-    return f_next >= traj.objective - 0.5 * traj.lr * traj.m_norm + 1e-9
+def _descent_steps(traj: Trajectory, start: int, threshold: float):
+    """The descent rule on the steps t >= start >= 1: the window, a slice of
+    the per-step arrays (t = 1..T), and masks over it of the steps that
+    qualify, ||m_t|| >= threshold, and of those that also violate descent,
+    F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + 1e-9."""
+    window = slice(start - 1, None)
+    m = traj.m_norm[window]
+    qualify = m >= threshold
+    f_next = np.append(traj.objective[1:], traj.final_f)[window]
+    violate = qualify & (f_next >= traj.objective[window] - 0.5 * traj.lr[window] * m + 1e-9)
+    return window, qualify, violate
+
+
+def _certified_descent(traj: Trajectory):
+    """The rule at the certificate's threshold, from its burn-in on (from
+    step 1 at burn-in 0), the window output selection searches."""
+    return _descent_steps(traj, max(traj.cert.burn_in, 1), traj.cert.momentum_threshold)
 
 
 def descent_check(traj: Trajectory) -> tuple[int, int]:
-    """(qualifying steps, violations) of the certified-descent condition.
-
-    Against the trajectory's own certificate, a step t qualifies when
-    t >= burn-in and ||m_t|| >= the momentum threshold; it violates when
-    F(w_{t+1}) >= F(w_t) - (lr_t/2)||m_t|| + 1e-9.
-    """
-    cert = traj.cert
-    qualify = (traj.steps >= max(cert.burn_in, 1)) & \
-              (traj.m_norm >= cert.momentum_threshold)
-    return int(np.sum(qualify)), int(np.sum(qualify & _non_descent(traj)))
+    """(qualifying steps, violations) of the certified-descent condition."""
+    _, qualify, violate = _certified_descent(traj)
+    return int(np.sum(qualify)), int(np.sum(violate))
 
 
 def eps_hat_check(traj: Trajectory) -> int:
-    """Count of post-burn-in steps whose momentum error exceeds the bound
-    of the trajectory's certificate."""
-    cert = traj.cert
-    idx = traj.steps >= max(cert.burn_in, 1)
-    return int(np.sum(traj.eps_hat[idx] > cert.momentum_error_bound))
+    """Post-burn-in steps whose momentum error exceeds the certified bound."""
+    window = _certified_descent(traj)[0]
+    return int(np.sum(traj.eps_hat[window] > traj.cert.momentum_error_bound))
 
 
 def last_iterate_check(traj: Trajectory) -> bool:
-    """Last recorded objective is no worse, up to 1e-9, than at the last
-    step below the certificate's momentum threshold."""
-    cert = traj.cert
-    start = max(cert.burn_in, 1)
-    idx = np.nonzero((traj.steps >= start) &
-                     (traj.m_norm < cert.momentum_threshold))[0]
-    t_hat = int(traj.steps[idx[-1]]) if idx.size else start
+    """Last recorded objective is no worse, up to 1e-9, than at t_hat, the
+    last post-burn-in step that does not qualify (else the first)."""
+    window, qualify, _ = _certified_descent(traj)
+    below = traj.steps[window][~qualify]
+    t_hat = int(below[-1]) if below.size else window.start + 1
     return bool(traj.objective[-1] <= traj.objective[t_hat - 1] + 1e-9)
 
 
@@ -652,12 +654,8 @@ class BurnInCompareResult:
 
 
 def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
-    """Paired comparison of warmup modes over the config's seed batch.
-
-    Both modes share noise streams seed for seed.  The violation counter
-    is the raw post-burn-in count of steps that failed to descend by half
-    the step-length-weighted momentum norm.
-    """
+    """Paired comparison of warmup modes over the config's seed batch; both
+    modes share noise streams seed for seed."""
     seeds = [config.seed + i for i in range(config.seeds)]
     final_f, min_grad, violations = {}, {}, {}
     burn_in = 0
@@ -668,8 +666,9 @@ def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
         trajs = [run_trajectory(exp, s) for s in seeds]
         final_f[mode] = np.array([t.final_f for t in trajs])
         min_grad[mode] = np.array([t.grad_norm.min() for t in trajs])
+        # every step after the effective burn-in counts, at any ||m_t||
         violations[mode] = np.array(
-            [np.sum((t.steps > burn_in) & _non_descent(t)) for t in trajs])
+            [np.sum(_descent_steps(t, burn_in + 1, 0.0)[2]) for t in trajs])
     return _frozen(BurnInCompareResult(burn_in=burn_in, final_f=final_f,
                                        min_grad=min_grad,
                                        post_burn_in_violations=violations))

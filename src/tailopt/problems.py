@@ -48,7 +48,9 @@ class DiagonalQuadratic:
 
     def __post_init__(self):
         for name in ("eigenvalues", "center", "start"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            # read-only copies: the checked constants cannot change afterwards
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
         if np.any(self.eigenvalues <= 0.0):
             raise ValueError("quadratic eigenvalues must be positive")
         if not (self.eigenvalues.shape == self.center.shape == self.start.shape):
@@ -100,7 +102,8 @@ class CosineSum:
     def __post_init__(self):
         if self.amplitude <= 0.0:
             raise ValueError("amplitude must be positive")
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
+        object.__setattr__(self, "start", np.array(self.start, dtype=float))
+        self.start.flags.writeable = False  # a read-only copy
         if self.start.shape != (self.dim,):
             raise ValueError("start point has the wrong dimension")
 

@@ -49,6 +49,9 @@ __all__ = ["NormedSpace"]
 
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
+# a sum of squares whose dot product is below it has no square or partial sum
+# that overflows, in any order of summation
+_SQUARES_MAX = float(_HUGE) / 4
 
 
 def _factored_norm(v: np.ndarray, p: float) -> np.ndarray:
@@ -79,16 +82,20 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
 
     A single vector decides this on one float, its largest magnitude (at
     p = 2, its sum of squares): a finite normal float skips the masks and
-    the clamped factor, anything else takes the batch path.  The square
-    root is IEEE-exact, so ``math.sqrt`` has the bits of ``np.sqrt``; every
-    other power stays an array power.
+    the clamped factor, anything else takes the batch path.  At p = 2 the
+    vector first passes ``np.vdot(v, v)``, which raises no floating-point
+    warning, against ``_SQUARES_MAX``, so the lean path warns on no input
+    and a vector whose squares overflow is max-factored.  The square root is
+    IEEE-exact, so ``math.sqrt`` has the bits of ``np.sqrt``; every other
+    power stays an array power.
     """
     if p == 2.0:
-        ss = np.add.reduce(v * v, axis=-1, keepdims=True)
-        if v.ndim == 1:
-            s = ss.item()
-            if _TINY <= s < math.inf:  # a NaN fails both comparisons
+        if v.ndim == 1 and np.vdot(v, v) < _SQUARES_MAX:  # a NaN fails it
+            s = float(np.add.reduce(v * v))
+            if _TINY <= s:
                 return math.sqrt(s)
+        with np.errstate(over="ignore"):  # a row whose squares overflow is max-factored
+            ss = np.add.reduce(v * v, axis=-1, keepdims=True)
         out = np.sqrt(ss)
         bad = ~((ss >= _TINY) & (ss < math.inf))[..., 0]
         if bad.any():

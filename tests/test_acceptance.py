@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from tailopt.harness import (RunConfig, build_experiment, descent_check,
-                             eps_hat_check, last_iterate_check, rate_sweep,
-                             run_trajectory)
+from tailopt.harness import (RunConfig, _certified_descent, build_experiment,
+                             descent_check, eps_hat_check, last_iterate_check,
+                             rate_sweep, run_trajectory)
 from tailopt.spaces import NormedSpace
 from tailopt.verify import coverage_rows, majorant_checks, truncation_rows
 
@@ -71,35 +71,55 @@ def test_criterion_2_second_order_comparison():
            f"nsgd {mins['nsgd']:.4f}, nigt {mins['nigt']:.4f})")
 
 
+def _window_max(trajectories, field: str) -> float:
+    """The largest value of a per-step field in the certified window of any
+    trajectory: the realized figure a criterion's bound is compared with."""
+    return max(float(getattr(t, field)[_certified_descent(t)[0]].max())
+               for t in trajectories)
+
+
+def _slack(bound: float, realized: float) -> str:
+    return f"slack {bound / realized:.3g} (bound {bound:.4g} / realized max {realized:.4g})"
+
+
 def test_criterion_3_burn_in_descent(burn_in_batch):
-    _, trajectories = burn_in_batch
-    bad_seeds = sum(descent_check(t)[1] > 0 for t in trajectories)
+    exp, trajectories = burn_in_batch
+    checks = [descent_check(t) for t in trajectories]
+    qualifying = sum(q for q, _ in checks)
+    bad_seeds = sum(v > 0 for _, v in checks)
     allowed = DELTA + band(DELTA, len(trajectories))
     frac = bad_seeds / len(trajectories)
     report(3, frac <= allowed,
            f"{bad_seeds}/{len(trajectories)} seeds violate certified descent "
-           f"(fraction {frac:.3f}, allowed {allowed:.3f})")
+           f"(fraction {frac:.3f}, allowed {allowed:.3f}); {qualifying} "
+           f"qualifying steps, ||m_t|| "
+           + _slack(exp.cert.momentum_threshold, _window_max(trajectories, "m_norm")))
 
 
 def test_criterion_4_momentum_error_certificate(burn_in_batch):
-    _, trajectories = burn_in_batch
+    exp, trajectories = burn_in_batch
     clean = sum(eps_hat_check(t) == 0 for t in trajectories)
+    checked = sum(t.eps_hat[_certified_descent(t)[0]].size for t in trajectories)
     needed = (1.0 - DELTA) - band(1.0 - DELTA, len(trajectories))
     frac = clean / len(trajectories)
     report(4, frac >= needed,
            f"momentum error within bound on {clean}/{len(trajectories)} seeds "
-           f"(fraction {frac:.3f}, needed {needed:.3f})")
+           f"(fraction {frac:.3f}, needed {needed:.3f}); {checked} qualifying "
+           f"(post-burn-in) steps, eps_hat "
+           + _slack(exp.cert.momentum_error_bound, _window_max(trajectories, "eps_hat")))
 
 
 def test_criterion_5_last_iterate(burn_in_batch):
-    _, trajectories = burn_in_batch
+    exp, trajectories = burn_in_batch
     good = sum(last_iterate_check(t) for t in trajectories)
+    qualifying = sum(descent_check(t)[0] for t in trajectories)
     needed = (1.0 - DELTA) - band(1.0 - DELTA, len(trajectories))
     frac = good / len(trajectories)
     report(5, frac >= needed,
            f"last iterate no worse than the reference step on "
            f"{good}/{len(trajectories)} seeds (fraction {frac:.3f}, "
-           f"needed {needed:.3f})")
+           f"needed {needed:.3f}); {qualifying} qualifying steps, ||m_t|| "
+           + _slack(exp.cert.momentum_threshold, _window_max(trajectories, "m_norm")))
 
 
 def test_criterion_6_scalar_reduction_majorant():

@@ -4,6 +4,7 @@ import math
 import os
 import re
 from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tailopt import cli
 from tailopt.concentration import WeightedStreamSpec, truncated_sum_bound
 from tailopt.harness import (_BLOCK, CSV_HEADER, BurnInCompareResult,
                              ConfigError, RateSweepResult, RunConfig,
-                             build_experiment, burn_in_compare,
+                             _descent_steps, build_experiment, burn_in_compare,
                              certificate_entries, check_trajectory_invariants,
                              descent_check, eps_hat_check, last_iterate_check,
                              rate_sweep, run, run_trajectory,
@@ -300,6 +301,92 @@ def test_theorem_checks_on_trajectory():
     assert qualifying >= 0 and violations <= qualifying
     assert eps_hat_check(traj) == 0  # bound is loose at desk scale
     assert last_iterate_check(traj)
+
+
+def _descent_reference(objective, final_f, m_norm, lr, start, threshold):
+    """(qualifying, violating) counts of the descent rule, step by step."""
+    qualifying = violating = 0
+    T = len(objective)
+    for t in range(start, T + 1):
+        f_next = objective[t] if t < T else final_f
+        if m_norm[t - 1] >= threshold:
+            qualifying += 1
+            violating += bool(f_next >= objective[t - 1]
+                              - 0.5 * lr[t - 1] * m_norm[t - 1] + 1e-9)
+    return qualifying, violating
+
+
+@st.composite
+def _descent_cases(draw):
+    T = draw(st.integers(1, 40))
+    values = st.floats(-1e3, 1e3)
+    objective = draw(st.lists(values, min_size=T, max_size=T))
+    m_norm = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.nan)),
+                           min_size=T, max_size=T))
+    lr = draw(st.lists(st.floats(0.0, 1.0), min_size=T, max_size=T))
+    start = draw(st.integers(1, T + 3))
+    threshold = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    return objective, draw(values), m_norm, lr, start, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_descent_cases())
+def test_descent_rule_matches_a_per_step_loop(case):
+    # the shared rule behind the gate's checks and burn_in_compare: NaN
+    # momentum norms never qualify, a start past T leaves an empty window
+    objective, final_f, m_norm, lr, start, threshold = case
+    traj = SimpleNamespace(objective=np.array(objective), final_f=final_f,
+                           m_norm=np.array(m_norm), lr=np.array(lr))
+    _, qualify, violate = _descent_steps(traj, start, threshold)
+    assert qualify.size == violate.size == max(len(objective) - start + 1, 0)
+    assert not np.any(violate & ~qualify)
+    assert (int(qualify.sum()), int(violate.sum())) == _descent_reference(
+        objective, final_f, m_norm, lr, start, threshold)
+
+
+def test_burn_in_compare_counts_the_rule_after_the_burn_in():
+    # the unconditioned count: every step after the effective burn-in (here
+    # the forced hold) qualifies, at threshold 0
+    cfg = small_config(seeds=2, warmup_steps=40, T=300)
+    res = burn_in_compare(cfg)
+    assert res.burn_in == 40
+    for mode in ("none", "hold"):
+        exp = build_experiment(replace(cfg, warmup=mode))
+        expected = [_descent_reference(t.objective.tolist(), t.final_f,
+                                       t.m_norm.tolist(), t.lr.tolist(),
+                                       41, 0.0)[1]
+                    for t in (run_trajectory(exp, s) for s in (3, 4))]
+        assert res.post_burn_in_violations[mode].tolist() == expected
+    assert sum(res.post_burn_in_violations["none"]) > 0
+
+
+def test_certificate_checks_follow_the_rule_at_any_certificate():
+    # the certified window starts at max(burn-in, 1) and qualifies at the
+    # certificate's threshold; move both so that steps qualify and violate
+    traj = run_trajectory(build_experiment(small_config(T=300)), 3)
+    for burn_in, quantile in ((0, 0.5), (1, 0.9), (120, 0.2), (300, 0.0)):
+        cert = replace(traj.cert, burn_in=burn_in,
+                       momentum_threshold=float(np.quantile(traj.m_norm, quantile)))
+        moved = replace(traj, cert=cert)
+        start = max(burn_in, 1)
+        assert descent_check(moved) == _descent_reference(
+            traj.objective.tolist(), traj.final_f, traj.m_norm.tolist(),
+            traj.lr.tolist(), start, cert.momentum_threshold)
+        assert eps_hat_check(moved) == int(np.sum(
+            traj.eps_hat[start - 1:] > cert.momentum_error_bound))
+        below = [t for t in range(start, 301)
+                 if traj.m_norm[t - 1] < cert.momentum_threshold]
+        t_hat = below[-1] if below else start
+        assert last_iterate_check(moved) == bool(
+            traj.objective[-1] <= traj.objective[t_hat - 1] + 1e-9)
+    # at threshold 0 every step qualifies, and t_hat is the burn-in step
+    # itself: on a falling objective that ends halfway, a burn-in of 150
+    # passes and one of 151 fails
+    f = np.linspace(1.0, 0.0, traj.horizon)
+    f[-1] = 0.5
+    verdicts = [last_iterate_check(replace(traj, objective=f, cert=replace(
+        traj.cert, burn_in=burn_in, momentum_threshold=0.0))) for burn_in in (150, 151)]
+    assert verdicts == [True, False]
 
 
 def test_rate_sweep_slope_on_synthetic():
@@ -700,6 +787,16 @@ def test_records_immutable_after_run():
     for arr in (spec.weights, spec.moment_bounds):
         with pytest.raises(ValueError):
             arr[0] = 5.0
+
+
+def test_experiment_problem_is_read_only():
+    # the experiment is frozen, and so is its problem's start point: a write
+    # to it is refused instead of changing every later trajectory
+    exp = build_experiment(RunConfig(T=50, dim=3))
+    final_f = run_trajectory(exp, 0).final_f
+    with pytest.raises(ValueError):
+        exp.problem.start[:] = 0.3
+    assert run_trajectory(exp, 0).final_f == final_f
 
 
 def test_run_matches_run_trajectory_seed_for_seed():

@@ -69,6 +69,22 @@ def test_dim_mismatch_rejected():
         prob.gradient(np.zeros(5))
 
 
+def test_problems_keep_read_only_copies_of_their_arrays():
+    # the caller's arrays may change afterwards, and the problem's own cannot
+    # be written, so the constants it checked at construction hold
+    eigs = np.array([1.0, 2.0])
+    quad = DiagonalQuadratic(eigenvalues=eigs, center=np.zeros(2), start=np.ones(2))
+    eigs[:] = -1.0
+    assert quad.lipschitz == 2.0
+    start = np.full(3, 2.0)
+    cos = CosineSum(amplitude=1.0, dim=3, start=start)
+    start[:] = 0.3
+    np.testing.assert_array_equal(cos.start, 2.0)
+    for arr in (quad.eigenvalues, quad.center, quad.start, cos.start):
+        with pytest.raises(ValueError):
+            arr[0] = 0.3
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         HeavyTailNoise(p_moment=1.5, tail_index=1.4)  # infinite p-th moment

@@ -236,7 +236,7 @@ def test_infinite_component_gives_infinite_norm(p):
             assert sp.pairing(v, d) == np.inf
     # a finite vector whose norm overflows still maps to a unit vector
     v = np.array([1.5e308, -1.5e308, 0.0])
-    with np.errstate(over="ignore"):  # q = 2 squares before it max-factors
+    with np.errstate(over="ignore"):  # q = 2 takes the norm, which overflows
         d = sp.duality_map(v)
         assert np.array_equal(d, sp.duality_map(np.array([[1.0, 0.0, 0.0], v]))[1])
     np.testing.assert_allclose(d, [c, -c, 0.0], rtol=1e-15)
@@ -272,6 +272,30 @@ def test_extreme_rows_keep_single_vector_bits(p):
             rows = fn(batch)
             for row, v in zip(rows, batch):
                 assert np.array_equal(row, fn(v), equal_nan=True), (fn.__name__, v)
+
+
+def test_euclidean_squares_that_overflow_raise_no_warning():
+    # at q = 2 a component above about 1e154 overflows its square; such a
+    # vector, single or in a batch, is max-factored without a RuntimeWarning
+    # (an error in this suite), and its norm, map and clip are the right ones
+    sp = NormedSpace(dim=3, primal_exponent=2.0)
+    cases = [([1e200, 1e200, 0.0], math.sqrt(2.0) * 1e200),
+             ([1.3e154, -1.3e154, 1.3e154], math.sqrt(3.0) * 1.3e154),
+             ([-1e300, 5.0, 0.0], 1e300)]
+    batch = np.array([[1.0, 2.0, 2.0]] + [v for v, _ in cases])
+    norms, maps = sp.dual_norm(batch), sp.duality_map(batch)
+    clips = sp.clip_dual(batch, 2.0)
+    assert norms[0] == 3.0
+    for i, (v, norm) in enumerate(cases, start=1):
+        v = np.array(v)
+        assert sp.dual_norm(v) == sp.primal_norm(v) == norms[i]
+        assert norms[i] == pytest.approx(norm, rel=1e-15)
+        d = sp.duality_map(v)
+        assert np.array_equal(d, maps[i])
+        np.testing.assert_allclose(d, v / norm, rtol=1e-15)
+        clipped = sp.clip_dual(v, 2.0)
+        assert np.array_equal(clipped, clips[i])
+        assert sp.dual_norm(clipped) == pytest.approx(2.0, rel=1e-15)
 
 
 # signed zeros, subnormals, magnitudes from 1e-300 to 1e300, inf and NaN
