@@ -22,6 +22,7 @@ __all__ = [
     "descent_step_gap",
     "smoothness_gap",
     "second_order_gaps",
+    "rate_fit_horizons",
     "fit_rate_exponent",
     "central_diff_gradient",
     "central_diff_hessian_vec",
@@ -94,22 +95,31 @@ def second_order_gaps(problem, x, y, space: NormedSpace | None = None):
     return value_gap, grad_gap
 
 
+def rate_fit_horizons(horizons) -> np.ndarray:
+    """``horizons`` as floats, or a ValueError if a rate fit cannot use
+    them: fewer than three, one not positive, or a span under 1.5 decades."""
+    horizons = np.asarray(horizons, dtype=float)
+    if horizons.size < 3:
+        raise ValueError("need at least three horizons")
+    if np.any(horizons <= 0):
+        raise ValueError("horizons must be positive")
+    if np.log10(horizons.max() / horizons.min()) < 1.5:
+        raise ValueError("horizons must span at least 1.5 decades")
+    return horizons
+
+
 def fit_rate_exponent(horizons, metrics) -> tuple[float, float]:
     """Least-squares slope of log(metric) against log(horizon).
 
-    Requires at least three horizons spanning 1.5 decades and strictly
-    positive metrics.  Returns (slope, standard error); the standard error
-    is the usual OLS estimate, infinite when the fit has no residual
-    degrees of freedom beyond exact collinearity.
+    Requires horizons that ``rate_fit_horizons`` accepts and one strictly
+    positive metric per horizon.  Returns (slope, standard error); the
+    standard error is the usual OLS estimate, infinite when the fit has no
+    residual degrees of freedom beyond exact collinearity.
     """
-    horizons = np.asarray(horizons, dtype=float)
+    horizons = rate_fit_horizons(horizons)
     metrics = np.asarray(metrics, dtype=float)
-    if horizons.size < 3 or horizons.size != metrics.size:
-        raise ValueError("need at least three (horizon, metric) pairs")
-    if np.any(horizons <= 0) or np.any(metrics <= 0):
-        raise ValueError("horizons and metrics must be positive")
-    if np.log10(horizons.max() / horizons.min()) < 1.5:
-        raise ValueError("horizons must span at least 1.5 decades")
+    if metrics.size != horizons.size or np.any(metrics <= 0):
+        raise ValueError("need one positive metric per horizon")
     x = np.log(horizons)
     y = np.log(metrics)
     xc = x - x.mean()

@@ -1,8 +1,8 @@
 """Command-line harness: run, rate-sweep, burn-in, verify, concentration.
 
-It parses arguments, prints, and maps exit codes; ``tailopt.harness``
-writes every file.  Exit codes: 0 success, 1 invariant/check failure,
-2 configuration error.
+It parses arguments, prints, maps exit codes, and names each command's
+output files; the writers of ``tailopt.harness`` write them.  Exit codes:
+0 success, 1 invariant/check failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from tailopt.analysis import fit_rate_exponent
-from tailopt.harness import (MAX_ARRAY_LEN, ConfigError, RunConfig,
-                             burn_in_compare, check_trajectory_invariants,
+from tailopt._svg import line_chart
+from tailopt.harness import (ConfigError, RunConfig, burn_in_compare,
+                             certificate_entries, check_array_sizes,
+                             check_horizon_grid, check_trajectory_invariants,
                              make_output_dir, rate_sweep, run, write_config,
-                             write_csv, write_key_values)
+                             write_csv, write_key_values, write_trajectory_csv)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -51,7 +52,10 @@ def _build_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
-    trajectories = run(cfg, plots=args.plots)
+    make_output_dir(cfg.out)
+    trajectories = run(cfg)
+    if cfg.out:
+        write_config(cfg)
     failures = 0
     for traj in trajectories:
         inv = check_trajectory_invariants(traj)
@@ -62,22 +66,33 @@ def _cmd_run(args) -> int:
               f"final={s['final_f']:.6g}, min ||grad||={s['min_grad_norm']:.4g}, "
               f"selected t={s['selected_step']}"
               + (f"  INVARIANT FAILURES: {bad}" if bad else ""))
+        if not cfg.out:
+            continue
+        sub = make_output_dir(os.path.join(cfg.out, f"seed_{traj.seed:04d}"))
+        write_trajectory_csv(traj, os.path.join(sub, "trajectory.csv"))
+        write_key_values(os.path.join(sub, "certificate.txt"),
+                         certificate_entries(traj.hp, traj.cert))
+        write_key_values(os.path.join(sub, "summary.txt"), s)
+        if args.plots:
+            line_chart(os.path.join(sub, "objective.svg"),
+                       [(traj.steps, traj.objective, "F(w_t)")],
+                       title="objective", x_label="t", y_label="F")
+            line_chart(os.path.join(sub, "grad_norm.svg"),
+                       [(traj.steps, traj.grad_norm, "||grad F(w_t)||")],
+                       title="gradient norm", x_label="t",
+                       y_label="dual norm", log_y=True)
     if cfg.out:
         print(f"artifacts in {cfg.out}")
     return 1 if failures else 0
 
 
 def _parse_grid(text: str) -> list[int]:
-    """--T-grid as horizons, checked against the rate fit's domain up front."""
+    """--T-grid as horizons, checked before the output directory is made."""
     try:
         grid = [int(t) for t in text.split(",")]
-        fit_rate_exponent(grid, [1.0] * len(grid))
-    # OverflowError: a horizon beyond the float range
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"T-grid: {exc}") from exc
-    if max(grid) > MAX_ARRAY_LEN:
-        raise ConfigError(f"T-grid: must be at most {MAX_ARRAY_LEN}, got {max(grid)}")
-    return grid
+    return check_horizon_grid(grid)
 
 
 def _cmd_rate_sweep(args) -> int:
@@ -97,7 +112,6 @@ def _cmd_rate_sweep(args) -> int:
         write_key_values(os.path.join(cfg.out, "rate_fit.txt"),
                          {k: getattr(result, k) for k in ("slope", "stderr", "target")})
         if args.plots:
-            from tailopt._svg import line_chart
             line_chart(os.path.join(cfg.out, "rate_fit.svg"),
                        [(result.horizons, result.avg_grad, "avg ||grad||"),
                         (result.horizons, result.min_grad, "min ||grad||")],
@@ -159,12 +173,8 @@ def _cmd_concentration(args) -> int:
     for flag in ("trials", "length"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
-        if getattr(args, flag) > MAX_ARRAY_LEN:
-            raise ConfigError(f"{flag}: must be at most {MAX_ARRAY_LEN}, "
-                              f"got {getattr(args, flag)}")
-    if args.trials * args.length > MAX_ARRAY_LEN:
-        raise ConfigError(f"trials, length: their product must be at most "
-                          f"{MAX_ARRAY_LEN} (the scalar coverage batch)")
+    check_array_sizes({"trials": args.trials, "length": args.length},
+                      "the scalar coverage batch")
     _check_seed_delta(args)
     make_output_dir(args.out)
     rng = np.random.default_rng([args.seed, 0xC0FE])

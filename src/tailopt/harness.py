@@ -1,10 +1,10 @@
-"""Experiment runner: configs, trajectories, persistence, sweeps.
+"""Experiment runner: configs, trajectories, invariants, sweeps, writers.
 
 A run is described by a flat ``RunConfig`` (built from an INI-style config
 file and/or CLI flags), expanded into problem + noise + space + schedule,
-and executed seed by seed.  Every run directory is self-describing: the
-resolved config is echoed verbatim alongside the trajectory CSV, the
-burn-in certificate, and a summary.
+and executed seed by seed.  The runners only compute; ``tailopt.cli``
+names each command's files and writes them through the writers here, so
+that every float in an artifact is formatted in one place.
 
 Trajectory CSV schema (floats at 17 significant digits, which round-trip):
 
@@ -21,11 +21,13 @@ import configparser
 import io
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
-from tailopt.analysis import fit_rate_exponent
+from tailopt.analysis import fit_rate_exponent, rate_fit_horizons
 from tailopt.optimizers import (BurnInCertificate, HyperParams,
                                 burn_in_certificate, clipped_momentum_step,
                                 extrapolation_point, init_state, rate_exponent,
@@ -62,6 +64,30 @@ class ConfigError(ValueError):
 # the most float64 elements numpy can address: it refuses a larger array
 # before allocating, and an addressable one too big for memory is a MemoryError
 MAX_ARRAY_LEN = np.iinfo(np.intp).max // 8
+
+
+def check_array_sizes(sizes: dict[str, int], batch: str = "") -> None:
+    """Refuse, naming the field, an array length numpy cannot address: any
+    of ``sizes`` (field -> length) above ``MAX_ARRAY_LEN``, and, if ``batch``
+    names the array they shape together, their product."""
+    for name, size in sizes.items():
+        if size > MAX_ARRAY_LEN:
+            raise ConfigError(f"{name}: must be at most {MAX_ARRAY_LEN}, got {size}")
+    if batch and math.prod(sizes.values()) > MAX_ARRAY_LEN:
+        raise ConfigError(f"{', '.join(sizes)}: their product must be at most "
+                          f"{MAX_ARRAY_LEN} ({batch})")
+
+
+def check_horizon_grid(horizons) -> list[int]:
+    """A rate sweep's horizons in increasing order, or a ConfigError naming
+    ``T-grid``: a grid the rate fit takes, no horizon beyond an array length."""
+    grid = sorted(int(t) for t in horizons)
+    try:
+        rate_fit_horizons(grid)
+    except (ValueError, OverflowError) as exc:  # OverflowError: beyond the float range
+        raise ConfigError(f"T-grid: {exc}") from exc
+    check_array_sizes({"T-grid": grid[-1]})
+    return grid
 
 
 def make_output_dir(path: str | None) -> str | None:
@@ -155,13 +181,9 @@ class RunConfig:
             raise ConfigError(f"calib_samples: need at least 10000, got {self.calib_samples}")
         if self.safety < 1.0:
             raise ConfigError(f"safety: must be at least 1, got {self.safety}")
-        for name in ("dim", "T", "calib_samples"):
-            if getattr(self, name) > MAX_ARRAY_LEN:
-                raise ConfigError(f"{name}: must be at most {MAX_ARRAY_LEN}, "
-                                  f"got {getattr(self, name)}")
-        if self.calib_samples * self.dim > MAX_ARRAY_LEN:
-            raise ConfigError(f"calib_samples, dim: their product must be at most "
-                              f"{MAX_ARRAY_LEN} (the calibration batch)")
+        check_array_sizes({"dim": self.dim, "T": self.T})
+        check_array_sizes({"calib_samples": self.calib_samples, "dim": self.dim},
+                          "the calibration batch")
         return self
 
     @property
@@ -239,9 +261,9 @@ class Experiment:
 
 
 def _frozen(record):
-    """``record`` with its array fields, and the arrays in its dict fields, read-only."""
+    """``record`` with its array fields, and the arrays in its mapping fields, read-only."""
     for value in vars(record).values():
-        for arr in value.values() if isinstance(value, dict) else (value,):
+        for arr in value.values() if isinstance(value, Mapping) else (value,):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
     return record
@@ -332,6 +354,7 @@ class Trajectory:
     clipped: np.ndarray
     lr: np.ndarray
     sample_norm: np.ndarray = field(repr=False)
+    clip_norm: np.ndarray = field(repr=False)  # dual norm of the sample stepped on
     step_len: np.ndarray = field(repr=False)
     w_norm: np.ndarray = field(repr=False)
     final_w: np.ndarray = field(repr=False)
@@ -378,14 +401,15 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
     error, step length and iterate norm are each computed by one batched
     call.  A batch row gets the bits of the single-vector call (see
     ``spaces``), so the values equal those of per-step evaluation.  A step's
-    clip flag is its raw norm above tau.
+    clip flag is its raw norm above tau; the norm of the sample it stepped
+    on is recorded beside it, so the invariants can check the clip itself.
     """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     T = hp.horizon
     rng = np.random.default_rng(seed)
     state = init_state(problem.start)
-    (objective, grad_norm, m_norm, eps_hat, eps, sample_norm, step_len,
-     w_norm) = (np.empty(T) for _ in range(8))
+    (objective, grad_norm, m_norm, eps_hat, eps, sample_norm, clip_norm,
+     step_len, w_norm) = (np.empty(T) for _ in range(9))
     nigt = exp.config.algorithm == "nigt"
     lrs = exp.lr_seq.tolist()
     rows = min(_BLOCK, T)
@@ -414,6 +438,7 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
         m_norm[block] = space.dual_norm(m)
         eps_hat[block] = space.dual_norm(m - grad)
         eps[block] = space.dual_norm(g_buf[:n] - query_grad)
+        clip_norm[block] = space.dual_norm(g_buf[:n])
         step_len[block] = space.primal_norm(w_buf[1:n + 1] - w)
         w_norm[block] = space.primal_norm(w)
     clipped = (sample_norm > hp.tau).astype(np.uint8)
@@ -421,7 +446,7 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
         seed=seed, algorithm=exp.config.algorithm, hp=hp, cert=exp.cert,
         steps=np.arange(1, T + 1), objective=objective, grad_norm=grad_norm,
         m_norm=m_norm, eps_hat=eps_hat, eps=eps, clipped=clipped, lr=exp.lr_seq,
-        sample_norm=sample_norm, step_len=step_len, w_norm=w_norm,
+        sample_norm=sample_norm, clip_norm=clip_norm, step_len=step_len, w_norm=w_norm,
         final_w=state.w.copy(), final_f=float(problem.value(state.w)),
         selected_step=recommend_output(m_norm, exp.cert.burn_in)))
 
@@ -440,9 +465,10 @@ def check_trajectory_invariants(traj: Trajectory,
       carries an irreducible absolute error of order eps*||w_t|| on top of
       the relative one; the tolerance accounts for both.
     - momentum_ball: ||m_t|| <= tau (convex combination of clipped samples).
-    - tau_consistency: clipped steps sit exactly at the threshold and
-      unclipped steps below it, against the *intended* hyperparameters
-      (pass the intended hp to detect a run that clipped elsewhere).
+    - tau_consistency: the samples the steps used sit at the threshold on
+      clipped steps and keep their raw norm, at most the threshold, on the
+      others, against the *intended* hyperparameters (pass the intended hp
+      to detect a run that clipped elsewhere, or not at all).
     """
     hp = hp or traj.hp
     moving = traj.m_norm > 0.0
@@ -451,9 +477,10 @@ def check_trajectory_invariants(traj: Trajectory,
                     <= 1e-12 * np.maximum(traj.lr[moving], 1e-300) + float_floor)
     ok_ball = np.all(traj.m_norm <= hp.tau * (1.0 + 1e-12))
     was_clipped = traj.clipped.astype(bool)
-    clip_norm = np.minimum(traj.sample_norm, traj.hp.tau)
-    ok_tau = (np.all(np.abs(clip_norm[was_clipped] - hp.tau) <= 1e-9 * hp.tau)
-              and np.all(clip_norm[~was_clipped] <= hp.tau * (1.0 + 1e-12)))
+    kept = traj.clip_norm[~was_clipped]
+    ok_tau = (np.all(np.abs(traj.clip_norm[was_clipped] - hp.tau) <= 1e-9 * hp.tau)
+              and np.array_equal(kept, traj.sample_norm[~was_clipped])
+              and np.all(kept <= hp.tau * (1.0 + 1e-12)))
     return {"step_length": bool(ok_len), "momentum_ball": bool(ok_ball),
             "tau_consistency": bool(ok_tau)}
 
@@ -559,36 +586,18 @@ def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
     }
 
 
-def run(config: RunConfig, plots: bool = False) -> list[Trajectory]:
-    """Run the configured experiment over its seed batch, writing artifacts
-    to ``config.out`` if set.
+def _seed_batch(exp: Experiment) -> list[Trajectory]:
+    """One trajectory per seed of the experiment's batch: seed + i for i
+    below seeds, all on the experiment's schedule."""
+    config = exp.config
+    return [run_trajectory(exp, config.seed + i) for i in range(config.seeds)]
 
-    Per-seed subdirectories receive trajectory.csv, certificate.txt and
-    summary.txt; the resolved config is echoed once at the top level.
-    Outputs are byte-stable for a fixed (config, seed).
-    """
-    exp = build_experiment(config)
-    out = make_output_dir(config.out)
-    trajectories = [run_trajectory(exp, config.seed + i)
-                    for i in range(config.seeds)]
-    if out:
-        write_config(config)
-        for traj in trajectories:
-            sub = make_output_dir(os.path.join(out, f"seed_{traj.seed:04d}"))
-            write_trajectory_csv(traj, os.path.join(sub, "trajectory.csv"))
-            write_key_values(os.path.join(sub, "certificate.txt"),
-                             certificate_entries(exp.hp, exp.cert))
-            write_key_values(os.path.join(sub, "summary.txt"), traj.summary())
-            if plots:
-                from tailopt._svg import line_chart
-                line_chart(os.path.join(sub, "objective.svg"),
-                           [(traj.steps, traj.objective, "F(w_t)")],
-                           title="objective", x_label="t", y_label="F")
-                line_chart(os.path.join(sub, "grad_norm.svg"),
-                           [(traj.steps, traj.grad_norm, "||grad F(w_t)||")],
-                           title="gradient norm", x_label="t",
-                           y_label="dual norm", log_y=True)
-    return trajectories
+
+def run(config: RunConfig) -> list[Trajectory]:
+    """Run the configured experiment over its seed batch; writes nothing
+    (``tailopt run`` lays out the files).  A fixed (config, seed) gives the
+    same trajectory bit for bit."""
+    return _seed_batch(build_experiment(config))
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +620,12 @@ class RateSweepResult:
 
 def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
     """Average-gradient-norm decay across horizons, with a log-log fit; each
-    horizon runs the config's seed batch."""
-    horizons = sorted(int(t) for t in horizons)
-    if len(horizons) < 3:
-        raise ConfigError("rate sweep needs at least three horizons")
+    horizon runs the config's seed batch.  A grid the fit cannot use is
+    refused, naming ``T-grid``, before any step."""
+    horizons = check_horizon_grid(horizons)
     avg_rows, min_rows = [], []
     for T in horizons:
-        exp = build_experiment(config, horizon=T)
-        trajs = [run_trajectory(exp, config.seed + i)
-                 for i in range(config.seeds)]
+        trajs = _seed_batch(build_experiment(config, horizon=T))
         avg_rows.append(float(np.mean([t.grad_norm.mean() for t in trajs])))
         min_rows.append(float(np.mean([t.grad_norm.min() for t in trajs])))
     slope, stderr = fit_rate_exponent(horizons, avg_rows)
@@ -633,9 +639,9 @@ def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
 @dataclass(frozen=True)
 class BurnInCompareResult:
     burn_in: int
-    final_f: dict[str, np.ndarray]          # mode -> per-seed final objective
-    min_grad: dict[str, np.ndarray]         # mode -> per-seed min grad norm
-    post_burn_in_violations: dict[str, np.ndarray]  # all arrays read-only
+    final_f: Mapping[str, np.ndarray]       # mode -> per-seed final objective
+    min_grad: Mapping[str, np.ndarray]      # mode -> per-seed min grad norm
+    post_burn_in_violations: Mapping[str, np.ndarray]  # all read-only
 
     def mode_summary(self, mode: str) -> dict:
         f = self.final_f[mode]
@@ -656,19 +662,19 @@ class BurnInCompareResult:
 def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
     """Paired comparison of warmup modes over the config's seed batch; both
     modes share noise streams seed for seed."""
-    seeds = [config.seed + i for i in range(config.seeds)]
     final_f, min_grad, violations = {}, {}, {}
     burn_in = 0
     for mode in ("none", "hold"):
         cfg = replace(config, warmup=mode)
         exp = build_experiment(cfg)
         burn_in = _burn_in(cfg, exp.cert, exp.hp.horizon)
-        trajs = [run_trajectory(exp, s) for s in seeds]
+        trajs = _seed_batch(exp)
         final_f[mode] = np.array([t.final_f for t in trajs])
         min_grad[mode] = np.array([t.grad_norm.min() for t in trajs])
         # every step after the effective burn-in counts, at any ||m_t||
         violations[mode] = np.array(
             [np.sum(_descent_steps(t, burn_in + 1, 0.0)[2]) for t in trajs])
-    return _frozen(BurnInCompareResult(burn_in=burn_in, final_f=final_f,
-                                       min_grad=min_grad,
-                                       post_burn_in_violations=violations))
+    return _frozen(BurnInCompareResult(
+        burn_in=burn_in, final_f=MappingProxyType(final_f),
+        min_grad=MappingProxyType(min_grad),
+        post_burn_in_violations=MappingProxyType(violations)))

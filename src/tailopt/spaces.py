@@ -203,11 +203,15 @@ class NormedSpace:
         v = self._check_dim(v)
         r = self.dual_exponent
         if r == 2.0:
-            n = _lp_norm(v, 2.0)
-            if v.ndim == 1:
-                # a zero vector, a norm that overflowed, an infinite or NaN one
-                return v / n if 0.0 < n < math.inf else _factored_map(v, r)
-            n = np.asarray(n)[..., np.newaxis]
+            # the lean path of _lp_norm: no square or partial sum overflows
+            if v.ndim == 1 and np.vdot(v, v) < _SQUARES_MAX:
+                s = float(np.add.reduce(v * v))
+                if _TINY <= s:
+                    return v / math.sqrt(s)
+            # a norm that overflows is inf, the unit vector comes from
+            # _factored_map, and the overflow is no fault of the map
+            with np.errstate(over="ignore"):
+                n = np.asarray(_lp_norm(v, 2.0))[..., np.newaxis]
             finite = n < math.inf
             ok = finite & (n > 0.0)
             d = np.where(ok, v / np.where(ok, n, 1.0), 0.0)

@@ -13,11 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from tailopt.harness import (RunConfig, _certified_descent, build_experiment,
-                             descent_check, eps_hat_check, last_iterate_check,
-                             rate_sweep, run_trajectory)
+from tailopt.harness import (RunConfig, _certified_descent, descent_check,
+                             eps_hat_check, last_iterate_check, rate_sweep, run)
 from tailopt.spaces import NormedSpace
 from tailopt.verify import coverage_rows, majorant_checks, truncation_rows
+
+# the whole gate takes minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
 
 DELTA = 0.1
 
@@ -43,8 +45,7 @@ def crit1_config(**kw) -> RunConfig:
 @pytest.fixture(scope="module")
 def burn_in_batch():
     """100 seeded trajectories of criterion 1's setup at T = 10^4."""
-    exp = build_experiment(crit1_config())
-    return exp, [run_trajectory(exp, seed) for seed in range(100)]
+    return run(crit1_config(seeds=100))
 
 
 def test_criterion_1_first_order_rate_exponent():
@@ -61,10 +62,8 @@ def test_criterion_2_second_order_comparison():
     mins = {}
     for algo in ("nsgd", "nigt"):
         cfg = crit1_config(algorithm=algo, p_moment=2.0, tail_index=2.5,
-                           T=100_000)
-        exp = build_experiment(cfg)
-        mins[algo] = float(np.mean(
-            [run_trajectory(exp, seed).grad_norm.min() for seed in range(20)]))
+                           T=100_000, seeds=20)
+        mins[algo] = float(np.mean([t.grad_norm.min() for t in run(cfg)]))
     ratio = mins["nigt"] / mins["nsgd"]
     report(2, ratio <= 1.1,
            f"min-gradient ratio nigt/nsgd = {ratio:.3f} (allowed 1.1; "
@@ -83,7 +82,8 @@ def _slack(bound: float, realized: float) -> str:
 
 
 def test_criterion_3_burn_in_descent(burn_in_batch):
-    exp, trajectories = burn_in_batch
+    trajectories = burn_in_batch
+    cert = trajectories[0].cert
     checks = [descent_check(t) for t in trajectories]
     qualifying = sum(q for q, _ in checks)
     bad_seeds = sum(v > 0 for _, v in checks)
@@ -93,11 +93,12 @@ def test_criterion_3_burn_in_descent(burn_in_batch):
            f"{bad_seeds}/{len(trajectories)} seeds violate certified descent "
            f"(fraction {frac:.3f}, allowed {allowed:.3f}); {qualifying} "
            f"qualifying steps, ||m_t|| "
-           + _slack(exp.cert.momentum_threshold, _window_max(trajectories, "m_norm")))
+           + _slack(cert.momentum_threshold, _window_max(trajectories, "m_norm")))
 
 
 def test_criterion_4_momentum_error_certificate(burn_in_batch):
-    exp, trajectories = burn_in_batch
+    trajectories = burn_in_batch
+    cert = trajectories[0].cert
     clean = sum(eps_hat_check(t) == 0 for t in trajectories)
     checked = sum(t.eps_hat[_certified_descent(t)[0]].size for t in trajectories)
     needed = (1.0 - DELTA) - band(1.0 - DELTA, len(trajectories))
@@ -106,11 +107,12 @@ def test_criterion_4_momentum_error_certificate(burn_in_batch):
            f"momentum error within bound on {clean}/{len(trajectories)} seeds "
            f"(fraction {frac:.3f}, needed {needed:.3f}); {checked} qualifying "
            f"(post-burn-in) steps, eps_hat "
-           + _slack(exp.cert.momentum_error_bound, _window_max(trajectories, "eps_hat")))
+           + _slack(cert.momentum_error_bound, _window_max(trajectories, "eps_hat")))
 
 
 def test_criterion_5_last_iterate(burn_in_batch):
-    exp, trajectories = burn_in_batch
+    trajectories = burn_in_batch
+    cert = trajectories[0].cert
     good = sum(last_iterate_check(t) for t in trajectories)
     qualifying = sum(descent_check(t)[0] for t in trajectories)
     needed = (1.0 - DELTA) - band(1.0 - DELTA, len(trajectories))
@@ -119,7 +121,7 @@ def test_criterion_5_last_iterate(burn_in_batch):
            f"last iterate no worse than the reference step on "
            f"{good}/{len(trajectories)} seeds (fraction {frac:.3f}, "
            f"needed {needed:.3f}); {qualifying} qualifying steps, ||m_t|| "
-           + _slack(exp.cert.momentum_threshold, _window_max(trajectories, "m_norm")))
+           + _slack(cert.momentum_threshold, _window_max(trajectories, "m_norm")))
 
 
 def test_criterion_6_scalar_reduction_majorant():

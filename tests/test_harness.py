@@ -31,6 +31,15 @@ def small_config(**kw):
     return RunConfig(**base)
 
 
+def cli_run(cfg, *flags):
+    """``tailopt run`` on ``cfg``, given as a config file beside its output
+    directory; the exit code."""
+    path = f"{cfg.out}.ini"
+    with open(path, "w") as fh:
+        fh.write(cfg.to_ini())
+    return cli.main(["run", "--config", path, *flags])
+
+
 def test_config_validation_names_the_field():
     with pytest.raises(ConfigError, match="algorithm"):
         RunConfig(algorithm="adam").validate()
@@ -90,8 +99,8 @@ def _per_step_reference(exp, seed):
     rng = np.random.default_rng(seed)
     state = init_state(problem.start)
     rec = {name: [] for name in ("objective", "grad_norm", "m_norm", "eps_hat",
-                                 "eps", "clipped", "sample_norm", "step_len",
-                                 "w_norm")}
+                                 "eps", "clipped", "sample_norm", "clip_norm",
+                                 "step_len", "w_norm")}
     for t in range(hp.horizon):
         w_t = state.w
         grad_t = problem.gradient(w_t)
@@ -110,6 +119,7 @@ def _per_step_reference(exp, seed):
                             ("eps", space.dual_norm(info.g_clip - query_grad)),
                             ("clipped", info.sample_norm > hp.tau),
                             ("sample_norm", info.sample_norm),
+                            ("clip_norm", space.dual_norm(info.g_clip)),
                             ("step_len", space.primal_norm(state.w - w_t)),
                             ("w_norm", space.primal_norm(w_t))):
             rec[name].append(value)
@@ -180,6 +190,26 @@ def test_tau_fault_injection_detected():
     assert not inv["tau_consistency"]
 
 
+@pytest.mark.parametrize("step_tau", [0.5, math.inf], ids=["half_tau", "no_clip"])
+def test_tau_consistency_checks_the_clip_the_step_made(monkeypatch, step_tau):
+    # the schedule is right, but the step clips at another threshold: the
+    # clip flags and raw norms look right, the samples it stepped on do not
+    exp = build_experiment(small_config(T=_BLOCK + 3, noise_scale=3.0, b=20.0))
+    assert all(check_trajectory_invariants(run_trajectory(exp, 3)).values())
+    step_hp = replace(exp.hp, grad_bound=step_tau * exp.hp.grad_bound,
+                      tau=step_tau * exp.hp.tau)
+
+    def faulty_step(state, sample, hp, space, lr):
+        return clipped_momentum_step(state, sample, step_hp, space, lr)
+
+    monkeypatch.setattr("tailopt.harness.clipped_momentum_step", faulty_step)
+    traj = run_trajectory(exp, 3)
+    assert traj.clipped.any()
+    inv = check_trajectory_invariants(traj)
+    assert inv["step_length"] and inv["momentum_ball"]
+    assert not inv["tau_consistency"]
+
+
 def test_csv_schema_and_byte_determinism(tmp_path):
     exp = build_experiment(small_config())
     traj = run_trajectory(exp, 3)
@@ -198,8 +228,7 @@ def test_csv_schema_and_byte_determinism(tmp_path):
 
 def test_run_writes_artifacts(tmp_path):
     cfg = small_config(seeds=2, out=str(tmp_path / "exp"))
-    trajs = run(cfg)
-    assert len(trajs) == 2
+    assert cli_run(cfg) == 0
     assert (tmp_path / "exp" / "config.txt").exists()
     for seed in (3, 4):
         sub = tmp_path / "exp" / f"seed_{seed:04d}"
@@ -240,6 +269,7 @@ def test_artifacts_round_trip_bit_for_bit(tmp_path, monkeypatch, capsys):
 
     cfg = small_config(seeds=2, T=300, out=str(tmp_path / "run"))
     exp = build_experiment(cfg)
+    assert cli_run(cfg) == 0
     for traj in run(cfg):
         sub = tmp_path / "run" / f"seed_{traj.seed:04d}"
         columns = (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
@@ -678,7 +708,7 @@ def _stub_runners(monkeypatch):
     per_mode = {mode: np.ones(2) for mode in ("none", "hold")}
     compare = BurnInCompareResult(burn_in=0, final_f=per_mode, min_grad=per_mode,
                                   post_burn_in_violations=per_mode)
-    monkeypatch.setattr(cli, "run", lambda cfg, plots=False: [])
+    monkeypatch.setattr(cli, "run", lambda cfg: [])
     monkeypatch.setattr(cli, "rate_sweep", lambda cfg, grid: sweep)
     monkeypatch.setattr(cli, "burn_in_compare", lambda cfg: compare)
 
@@ -777,6 +807,12 @@ def test_records_immutable_after_run():
                 *compare.post_burn_in_violations.values()):
         with pytest.raises(ValueError):
             arr[0] = 0
+    for per_mode in (compare.final_f, compare.min_grad,
+                     compare.post_burn_in_violations):
+        with pytest.raises(TypeError):
+            per_mode["none"] = np.zeros(2)
+        with pytest.raises(TypeError):
+            del per_mode["hold"]
     # the spec keeps a copy: the caller's weights may change afterwards
     weights = np.full(3, 0.5)
     spec = WeightedStreamSpec(weights=weights, moment_bounds=np.ones(3),
@@ -834,8 +870,30 @@ def test_cli_verify_reports_failure_exit_code(monkeypatch, capsys):
 
 def test_config_echo_is_verbatim_ini(tmp_path):
     cfg = small_config(out=str(tmp_path / "echo"))
-    run(cfg)
+    assert cli_run(cfg) == 0
     text = (tmp_path / "echo" / "config.txt").read_text()
     assert "[run]" in text and "[problem]" in text and "[noise]" in text
     reloaded = RunConfig.from_file(str(tmp_path / "echo" / "config.txt"))
     assert reloaded == replace(cfg)
+
+
+def test_run_writes_nothing(tmp_path):
+    # the library call only computes, even with an output directory set
+    cfg = small_config(T=50, seeds=2, out=str(tmp_path / "out"))
+    assert [t.seed for t in run(cfg)] == [3, 4]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ([50, 60, 70], "span at least 1.5 decades"),
+    ([50, 5000], "at least three"),
+    ([0, 100, 10_000], "positive"),
+    ([100, 10_000, 10**23], "at most"),
+])
+def test_rate_sweep_refuses_a_grid_before_any_step(monkeypatch, grid, reason):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad grid reached a step")
+
+    monkeypatch.setattr("tailopt.harness.run_trajectory", no_work)
+    with pytest.raises(ConfigError, match=f"^T-grid: .*{reason}"):
+        rate_sweep(small_config(T=50, dim=3), grid)

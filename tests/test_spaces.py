@@ -236,9 +236,8 @@ def test_infinite_component_gives_infinite_norm(p):
             assert sp.pairing(v, d) == np.inf
     # a finite vector whose norm overflows still maps to a unit vector
     v = np.array([1.5e308, -1.5e308, 0.0])
-    with np.errstate(over="ignore"):  # q = 2 takes the norm, which overflows
-        d = sp.duality_map(v)
-        assert np.array_equal(d, sp.duality_map(np.array([[1.0, 0.0, 0.0], v]))[1])
+    d = sp.duality_map(v)
+    assert np.array_equal(d, sp.duality_map(np.array([[1.0, 0.0, 0.0], v]))[1])
     np.testing.assert_allclose(d, [c, -c, 0.0], rtol=1e-15)
 
 
