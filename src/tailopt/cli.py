@@ -8,6 +8,7 @@ output files; the writers of ``tailopt.harness`` write them.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields, replace
@@ -22,36 +23,32 @@ from tailopt.harness import (ConfigError, RunConfig, burn_in_compare,
                              write_csv, write_key_values, write_trajectory_csv)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="INI config file; flags override it")
-    parser.add_argument("--algo", choices=["nsgd", "nigt"], dest="algorithm")
-    parser.add_argument("--problem", choices=["cosine_sum", "quadratic"])
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--q", type=float, help="primal norm exponent in (1, 2]")
-    parser.add_argument("--p-moment", type=float, dest="p_moment")
-    parser.add_argument("--tail-index", type=float, dest="tail_index")
-    parser.add_argument("--noise-scale", type=float, dest="noise_scale")
-    parser.add_argument("--T", type=int, dest="T")
-    parser.add_argument("--b", type=float, dest="b", help="alpha schedule constant")
-    parser.add_argument("--s", type=float, dest="s", help="lr schedule constant")
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--seeds", type=int, help="number of seeds (base+i)")
-    parser.add_argument("--warmup", choices=["none", "hold"])
-    parser.add_argument("--warmup-steps", type=int, dest="warmup_steps")
-    parser.add_argument("--order", choices=["first", "second"])
-    parser.add_argument("--out", help="output directory")
+def _add_command(sub, name: str, fn, text: str, names=None):
+    """Subcommand ``name``, which runs ``fn``, with one flag per
+    ``RunConfig`` field (each in ``names``, if given; else --config too):
+    --name with - for _, and --algo for algorithm.  A flag stores its text,
+    which ``_build_config`` parses by the rule of an INI value."""
+    parser = sub.add_parser(name, help=text)
+    parser.set_defaults(fn=fn)
+    if names is None:
+        parser.add_argument("--config", help="INI config file; flags override it")
+    for f in fields(RunConfig):
+        if names is None or f.name in names:
+            flag = "--algo" if f.name == "algorithm" else "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, dest=f.name, help=f"default {f.default!r}")
+    return parser
 
 
 def _build_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if getattr(args, f.name, None) is not None}
+    """The --config file's values, if given, then each given flag's."""
+    path = getattr(args, "config", None)
+    cfg = RunConfig.from_file(path) if path else RunConfig()
+    flags = {f.name: RunConfig.parse_field(f.name, getattr(args, f.name))
+             for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
     return replace(cfg, **flags).validate()
 
 
-def _cmd_run(args) -> int:
-    cfg = _build_config(args)
+def _cmd_run(args, cfg: RunConfig) -> int:
     make_output_dir(cfg.out)
     trajectories = run(cfg)
     if cfg.out:
@@ -95,8 +92,7 @@ def _parse_grid(text: str) -> list[int]:
     return check_horizon_grid(grid)
 
 
-def _cmd_rate_sweep(args) -> int:
-    cfg = _build_config(args)
+def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
     grid = _parse_grid(args.T_grid)
     make_output_dir(cfg.out)
     result = rate_sweep(cfg, grid)
@@ -120,8 +116,7 @@ def _cmd_rate_sweep(args) -> int:
     return 0
 
 
-def _cmd_burn_in(args) -> int:
-    cfg = _build_config(args)
+def _cmd_burn_in(args, cfg: RunConfig) -> int:
     make_output_dir(cfg.out)
     result = burn_in_compare(cfg)
     print(f"burn-in steps: {result.burn_in}")
@@ -142,16 +137,10 @@ def _cmd_burn_in(args) -> int:
     return 0
 
 
-def _check_seed_delta(args):
-    """--seed and --delta by the rules a run config applies to them."""
-    RunConfig(seed=args.seed, delta=args.delta).validate()
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cfg: RunConfig) -> int:
     from tailopt.verify import run_verification_suite
-    _check_seed_delta(args)
-    make_output_dir(args.out)
-    results = run_verification_suite(seed=args.seed, delta=args.delta)
+    make_output_dir(cfg.out)
+    results = run_verification_suite(seed=cfg.seed, delta=cfg.delta)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -161,37 +150,36 @@ def _cmd_verify(args) -> int:
               f"violations={r.violations:<6d} worst={r.worst:< .3e}  {status}"
               + (f"  [{r.note}]" if r.note else ""))
     print(f"{len(results) - failures}/{len(results)} checks passed")
-    if args.out:
-        write_csv(os.path.join(args.out, "verify_report.csv"),
+    if cfg.out:
+        write_csv(os.path.join(cfg.out, "verify_report.csv"),
                   "check,samples,violations,worst,pass",
                   [tuple(r.row().values()) for r in results])
     return 1 if failures else 0
 
 
-def _cmd_concentration(args) -> int:
+def _cmd_concentration(args, cfg: RunConfig) -> int:
     from tailopt.verify import coverage_rows
     for flag in ("trials", "length"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
     check_array_sizes({"trials": args.trials, "length": args.length},
                       "the scalar coverage batch")
-    _check_seed_delta(args)
-    make_output_dir(args.out)
-    rng = np.random.default_rng([args.seed, 0xC0FE])
+    make_output_dir(cfg.out)
+    rng = np.random.default_rng([cfg.seed, 0xC0FE])
     header = "lemma,delta,trials,coverage,ci_low,ci_high,pass"
     print(header)
     rows = []  # the printed table, as text cells
     ok = True
-    for name, level, res in coverage_rows(args.trials, args.length, args.delta, rng):
+    for name, level, res in coverage_rows(args.trials, args.length, cfg.delta, rng):
         passed = res.meets(level)
-        row = (name.replace("coverage_", ""), str(args.delta), str(args.trials),
+        row = (name.replace("coverage_", ""), str(cfg.delta), str(args.trials),
                *(f"{v:.6f}" for v in (res.coverage, res.ci_low, res.ci_high)),
                str(int(passed)))
         print(",".join(row))
         rows.append(row)
         ok &= passed
-    if args.out:
-        write_csv(os.path.join(args.out, "concentration_report.csv"), header, rows)
+    if cfg.out:
+        write_csv(os.path.join(cfg.out, "concentration_report.csv"), header, rows)
     return 0 if ok else 1
 
 
@@ -203,46 +191,50 @@ _SIZE_FIELDS = {"run": "dim, T, calib_samples",
                 "concentration": "trials, length"}
 
 
-def main(argv=None) -> int:
+def _run_command(args) -> int:
+    """The command on its resolved config; a refused command removes the
+    directories it made for --out (only empty ones), never an older one."""
+    cfg = _build_config(args)
+    level, new = cfg.out, []  # the levels of --out not there yet, deepest first
+    while level and not os.path.lexists(level):
+        new.append(level)
+        level = os.path.dirname(level)
+    try:
+        return args.fn(args, cfg)
+    except (ConfigError, MemoryError):
+        for level in new:
+            with contextlib.suppress(OSError):
+                os.rmdir(level)
+        raise
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailopt",
         description="Clipped normalized momentum SGD for heavy-tailed "
                     "gradients, with lemma-level verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment over its seed batch")
-    _add_config_flags(p_run)
+    p_run = _add_command(sub, "run", _cmd_run, "run one experiment over its seed batch")
     p_run.add_argument("--plots", action="store_true", help="emit SVG charts")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_sweep = sub.add_parser("rate-sweep", help="fit the gradient-norm decay rate")
-    _add_config_flags(p_sweep)
+    p_sweep = _add_command(sub, "rate-sweep", _cmd_rate_sweep,
+                           "fit the gradient-norm decay rate")
     p_sweep.add_argument("--T-grid", default="1000,10000,100000",
                          help="comma-separated horizons")
     p_sweep.add_argument("--plots", action="store_true")
-    p_sweep.set_defaults(fn=_cmd_rate_sweep)
-
-    p_burn = sub.add_parser("burn-in", help="compare warmup modes none/hold")
-    _add_config_flags(p_burn)
-    p_burn.set_defaults(fn=_cmd_burn_in)
-
-    p_verify = sub.add_parser("verify", help="run the full invariant suite")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--delta", type=float, default=0.1)
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_conc = sub.add_parser("concentration", help="coverage-test every bound")
+    _add_command(sub, "burn-in", _cmd_burn_in, "compare warmup modes none/hold")
+    _add_command(sub, "verify", _cmd_verify, "run the full invariant suite",
+                 ("seed", "delta", "out"))
+    p_conc = _add_command(sub, "concentration", _cmd_concentration,
+                          "coverage-test every bound", ("seed", "delta", "out"))
     p_conc.add_argument("--trials", type=int, default=10_000)
     p_conc.add_argument("--length", type=int, default=100)
-    p_conc.add_argument("--delta", type=float, default=0.1)
-    p_conc.add_argument("--seed", type=int, default=0)
-    p_conc.add_argument("--out")
-    p_conc.set_defaults(fn=_cmd_concentration)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _run_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

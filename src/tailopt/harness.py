@@ -184,6 +184,8 @@ class RunConfig:
         check_array_sizes({"dim": self.dim, "T": self.T})
         check_array_sizes({"calib_samples": self.calib_samples, "dim": self.dim},
                           "the calibration batch")
+        check_array_sizes({"seeds": self.seeds, "T": self.T},
+                          "the rows of a run's trajectories")
         return self
 
     @property
@@ -203,7 +205,6 @@ class RunConfig:
             raise ConfigError(f"config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        defaults = {f.name: f.default for f in fields(cls)}
         values = {}
         for section, names in cls._SECTIONS.items():
             if not parser.has_section(section):
@@ -214,8 +215,23 @@ class RunConfig:
                     # newline in it opens a key of its own
                     raise ConfigError(f"config file {path}: unknown key {key!r} "
                                       f"in section [{section}]")
-                values[key] = _parse_field(key, raw, defaults[key])
+                values[key] = cls.parse_field(key, raw)
         return cls(**values)
+
+    @classmethod
+    def parse_field(cls, name: str, raw: str) -> object:
+        """The value of field ``name`` written as ``raw``, an INI value or a
+        flag's text: parsed as the type of the field's default, text kept
+        as it is.  A None default (warmup_steps) is an optional int, and an
+        empty ``raw`` leaves it None."""
+        default = {f.name: f.default for f in fields(cls)}[name]
+        if default is None and raw == "":
+            return None
+        parse = int if default is None else type(default)
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser(interpolation=None)
@@ -228,19 +244,6 @@ class RunConfig:
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
-
-
-def _parse_field(key: str, raw: str, default) -> object:
-    """Parse ``raw`` as the type of the field's default; a None default
-    (warmup_steps) is an optional int, and an empty value leaves it None."""
-    raw = raw.strip()
-    if default is None and raw == "":
-        return None
-    parse = int if default is None else type(default)
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import io
 import json
 import os
 import platform
-import sys
 import tempfile
 
 import numpy as np
@@ -88,9 +87,10 @@ def record(workdir: str) -> dict:
     return {"environment": environment(), "commands": commands}
 
 
-def _first_difference(expected: str, actual: str, block: int = 1):
-    """The 1-based index of the first differing block of ``block`` chars
-    (a line of text, or a line's digest), or None if both agree."""
+def _first_difference(expected, actual, block: int = 1):
+    """The 1-based index of the first differing block of ``block`` items,
+    a line in lists of lines or a digest in strings of line digests, or
+    None if both agree."""
     n = max(len(expected), len(actual))
     for i in range(0, n, block):
         if expected[i:i + block] != actual[i:i + block]:
@@ -149,4 +149,3 @@ if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(recorded, fh, indent=1)
         fh.write("\n")
-    sys.exit(0)

@@ -1,5 +1,6 @@
 """Config handling, persistence, invariants, sweeps, CLI exit codes."""
 
+import argparse
 import math
 import os
 import re
@@ -541,6 +542,12 @@ _EXISTING_FILE = "<existing file>"
     (["run", "--T", "50", "--dim", "3", "--b", "1e-320"], None,
      "s, b, amplitude, noise_scale, safety"),
     (["run", "--T", "50", "--dim", "3", "--algo", "nigt", "--s", "1e200"], None, "s, b"),
+    # a flag's text is parsed and checked as the INI value would be
+    (["run", "--dim", "x"], None, "dim"),
+    (["run", "--algo", "x"], None, "algorithm"),
+    (["verify", "--seed", "x"], None, "seed"),
+    (["run", "--T", "10", "--dim", "2", "--seeds", "100000000000000000000"], None,
+     "seeds"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
                                                  argv, ini, field):
@@ -561,6 +568,62 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr("tailopt.verify.coverage_rows", no_work)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--T", "2", "--b", "5", "--out", "a/b"],
+    ["rate-sweep", "--T-grid", "10,100,1000", "--b", "5", "--out", "c"],
+    ["burn-in", "--T", "2", "--b", "5", "--out", "d"],
+], ids=lambda argv: argv[0])
+def test_a_refused_command_removes_only_the_directories_it_made(
+        tmp_path, monkeypatch, capsys, argv):
+    # refused when the experiment is built, after --out was made
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept").mkdir()
+    assert cli.main([*argv[:-1], "kept"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command", ["run", "rate-sweep", "burn-in", "verify",
+                                     "concentration"])
+def test_every_config_field_has_one_flag_and_one_section(command):
+    names = [f.name for f in fields(RunConfig)]
+    assert sorted(CONFIG_FIELDS) == sorted(names)  # each in exactly one section
+    flags = {}
+    for action in _subcommand(command)._actions:
+        if action.dest in names:  # text only: the INI rule parses and checks it
+            assert action.type is None and action.choices is None, action
+            flags.setdefault(action.dest, []).extend(action.option_strings)
+    wanted = names if command in ("run", "rate-sweep", "burn-in") else ["seed", "delta", "out"]
+    assert flags == {name: ["--algo" if name == "algorithm"
+                            else "--" + name.replace("_", "-")] for name in wanted}
+    # a text field keeps its text as given
+    args = _subcommand(command).parse_args(["--out", " a"])
+    assert cli._build_config(args).out == " a"
+
+
+@pytest.mark.parametrize("field, text", [
+    ("dim", "x"), ("warmup_steps", "1.5"), ("algorithm", "sgd"), ("q", "3"),
+    ("calib_samples", "100"), ("safety", "nan"), ("amplitude", "0"),
+])
+def test_a_bad_flag_and_the_same_ini_value_give_one_message(tmp_path, capsys,
+                                                             field, text):
+    flag = "--algo" if field == "algorithm" else "--" + field.replace("_", "-")
+    assert cli.main(["run", flag, text]) == 2
+    by_flag = capsys.readouterr().err
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{SECTION_OF[field]}]\n{field} = {text}\n")
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == by_flag
+    assert by_flag.startswith(f"config error: {field}:")
 
 
 _FLOAT_FIELDS = [f.name for f in fields(RunConfig) if f.type == "float"]
@@ -667,16 +730,17 @@ def test_fuzzed_config_file_is_accepted_or_named(tmp_path, content):
         assert set(prefix.split(", ")) & set(CONFIG_FIELDS), msg
 
 
-_RUN_FLAGS = ["--config", "--algo", "--problem", "--dim", "--q", "--p-moment",
+_RUN_FLAGS = ["--config", "--algo", "--problem", "--dim", "--amplitude",
+              "--eig-min", "--eig-max", "--start-value", "--q", "--p-moment",
               "--tail-index", "--noise-scale", "--T", "--b", "--s", "--delta",
               "--seed", "--seeds", "--warmup", "--warmup-steps", "--order",
-              "--out"]
+              "--calib-samples", "--safety", "--out"]
 _CLI_FLAGS = {"run": _RUN_FLAGS + ["--plots"],
               "rate-sweep": _RUN_FLAGS + ["--plots", "--T-grid"],
               "burn-in": _RUN_FLAGS}
 _CHOICE_FLAGS = {"--algo": ["nsgd", "nigt"], "--problem": ["cosine_sum", "quadratic"],
                  "--warmup": ["none", "hold"], "--order": ["first", "second"]}
-_INT_FLAGS = {"--dim", "--T", "--seed", "--seeds", "--warmup-steps"}
+_INT_FLAGS = {"--dim", "--T", "--seed", "--seeds", "--warmup-steps", "--calib-samples"}
 # a shell argument holds no NUL character
 _ANY_ARG = st.one_of(
     st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=12),

@@ -148,15 +148,26 @@ def test_sample_mean_is_unbiased():
     assert sp.dual_norm(mean - prob.gradient(w)) <= tol
 
 
-def test_single_sample_matches_batch_stream():
-    # one sample consumes the same draws as one row of the batched sampler
-    prob = make_problem("cosine_sum", 3)
-    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8)
-    sp = NormedSpace.euclidean(3)
-    w = np.full(3, 0.4)
-    a = noise.sample(prob, sp, w, np.random.default_rng(9))
-    b = noise.sample(prob, sp, w, np.random.default_rng(9))
-    np.testing.assert_array_equal(a, b)
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+@pytest.mark.parametrize("q", [2.0, 1.5])
+def test_draw_steps_rows_have_the_replayed_radius_and_mean_zero(q, scale):
+    # the noise every trajectory step adds: each row's dual norm is the
+    # Pareto radius of its own uniform draw, replayed from the same stream
+    # (dim normals, then one uniform), and the rows average to zero within
+    # the p-moment tolerance of test_sample_mean_is_unbiased
+    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=scale)
+    sp = NormedSpace(dim=4, primal_exponent=q)
+    n = 100_000
+    z = noise.draw_steps(sp, np.random.default_rng(17), n)
+    replay = np.random.default_rng(17)
+    radii = np.empty(n)
+    for i in range(n):
+        replay.standard_normal(4)
+        radii[i] = scale * (1.0 - replay.random()) ** (-1.0 / 1.8)
+    norms = np.asarray(sp.dual_norm(z))
+    np.testing.assert_allclose(norms, radii, rtol=1e-12, atol=0.0)
+    tol = 3.0 * np.mean(norms ** 1.5) ** (1.0 / 1.5) * n ** (-(1.5 - 1.0) / 1.5)
+    assert sp.dual_norm(z.mean(axis=0)) <= tol
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.0])
