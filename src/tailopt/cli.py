@@ -18,9 +18,9 @@ import numpy as np
 from tailopt._svg import line_chart
 from tailopt.harness import (ConfigError, RunConfig, burn_in_compare,
                              certificate_entries, check_array_sizes,
-                             check_horizon_grid, check_trajectory_invariants,
-                             make_output_dir, rate_sweep, run, write_config,
-                             write_csv, write_key_values, write_trajectory_csv)
+                             check_trajectory_invariants, make_output_dir,
+                             rate_sweep, run, write_config, write_csv,
+                             write_key_values, write_trajectory_csv)
 
 
 def _add_command(sub, name: str, fn, text: str, names=None):
@@ -49,12 +49,8 @@ def _build_config(args) -> RunConfig:
 
 
 def _cmd_run(args, cfg: RunConfig) -> int:
-    make_output_dir(cfg.out)
-    trajectories = run(cfg)
-    if cfg.out:
-        write_config(cfg)
     failures = 0
-    for traj in trajectories:
+    for traj in run(cfg):
         inv = check_trajectory_invariants(traj)
         bad = [k for k, ok in inv.items() if not ok]
         failures += len(bad)
@@ -79,23 +75,21 @@ def _cmd_run(args, cfg: RunConfig) -> int:
                        title="gradient norm", x_label="t",
                        y_label="dual norm", log_y=True)
     if cfg.out:
+        write_config(cfg)
         print(f"artifacts in {cfg.out}")
     return 1 if failures else 0
 
 
 def _parse_grid(text: str) -> list[int]:
-    """--T-grid as horizons, checked before the output directory is made."""
+    """--T-grid as integers; ``rate_sweep`` checks them as horizons."""
     try:
-        grid = [int(t) for t in text.split(",")]
+        return [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"T-grid: {exc}") from exc
-    return check_horizon_grid(grid)
 
 
 def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
-    grid = _parse_grid(args.T_grid)
-    make_output_dir(cfg.out)
-    result = rate_sweep(cfg, grid)
+    result = rate_sweep(cfg, _parse_grid(args.T_grid))
     header = "T,avg_grad_norm,min_grad_norm"
     print(header)
     for T, avg, low in result.rows():
@@ -117,7 +111,6 @@ def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
 
 
 def _cmd_burn_in(args, cfg: RunConfig) -> int:
-    make_output_dir(cfg.out)
     result = burn_in_compare(cfg)
     print(f"burn-in steps: {result.burn_in}")
     for mode in ("none", "hold"):
@@ -139,7 +132,6 @@ def _cmd_burn_in(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     from tailopt.verify import run_verification_suite
-    make_output_dir(cfg.out)
     results = run_verification_suite(seed=cfg.seed, delta=cfg.delta)
     width = max(len(r.name) for r in results)
     failures = 0
@@ -164,13 +156,14 @@ def _cmd_concentration(args, cfg: RunConfig) -> int:
             raise ConfigError(f"{flag}: must be at least 1, got {getattr(args, flag)}")
     check_array_sizes({"trials": args.trials, "length": args.length},
                       "the scalar coverage batch")
-    make_output_dir(cfg.out)
     rng = np.random.default_rng([cfg.seed, 0xC0FE])
+    # every row before the first line, so a refused batch prints nothing
+    coverage = coverage_rows(args.trials, args.length, cfg.delta, rng)
     header = "lemma,delta,trials,coverage,ci_low,ci_high,pass"
     print(header)
     rows = []  # the printed table, as text cells
     ok = True
-    for name, level, res in coverage_rows(args.trials, args.length, cfg.delta, rng):
+    for name, level, res in coverage:
         passed = res.meets(level)
         row = (name.replace("coverage_", ""), str(cfg.delta), str(args.trials),
                *(f"{v:.6f}" for v in (res.coverage, res.ci_low, res.ci_high)),
@@ -192,14 +185,16 @@ _SIZE_FIELDS = {"run": "dim, T, calib_samples",
 
 
 def _run_command(args) -> int:
-    """The command on its resolved config; a refused command removes the
-    directories it made for --out (only empty ones), never an older one."""
+    """The command on its resolved config, with --out made before it runs;
+    a refused command removes the directories it made for --out (only empty
+    ones), never an older one."""
     cfg = _build_config(args)
     level, new = cfg.out, []  # the levels of --out not there yet, deepest first
     while level and not os.path.lexists(level):
         new.append(level)
         level = os.path.dirname(level)
     try:
+        make_output_dir(cfg.out)
         return args.fn(args, cfg)
     except (ConfigError, MemoryError):
         for level in new:

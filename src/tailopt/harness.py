@@ -21,7 +21,7 @@ import configparser
 import io
 import math
 import os
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 
@@ -291,9 +291,10 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
 
     Calibration uses its own substream of the base seed so that per-seed
     trajectory streams stay untouched, and happens once per experiment so
-    every seed shares the same schedule.  A config whose G, tau, log factor
-    or descent threshold is not finite raises a ConfigError naming the
-    fields that constant is computed from.
+    every seed shares the same schedule.  A config whose G, tau, log factor,
+    descent threshold or (quadratic) objective bound on the path is not
+    finite raises a ConfigError naming the fields that constant is computed
+    from.
     """
     config.validate()
     T = config.T if horizon is None else horizon
@@ -335,6 +336,14 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
                     cert.log_factor)
     _require_finite(f"s, b, {g_fields}", "the descent threshold",
                     cert.momentum_threshold)
+    if config.problem == "quadratic":
+        # each step moves lr_t <= lr in the primal l_q norm, which dominates
+        # the Euclidean one (q <= 2): the path stays within R of the centre
+        # 0, so F <= eig_max * R^2 / 2, with the square computed first
+        reach = abs(config.start_value) * math.sqrt(config.dim) + hp.lr * T
+        _require_finite(f"s, {horizon_field}, dim, eig_max, start_value",
+                        "the objective bound eig_max (||start||_2 + lr T)^2",
+                        config.eig_max * (reach * reach))
     lr_seq = warmup_lr_schedule(hp, _burn_in(config, cert, T), config.warmup)
     return _frozen(Experiment(config=config, problem=problem, noise=noise,
                               space=space, hp=hp, cert=cert, lr_seq=lr_seq))
@@ -589,17 +598,19 @@ def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
     }
 
 
-def _seed_batch(exp: Experiment) -> list[Trajectory]:
-    """One trajectory per seed of the experiment's batch: seed + i for i
-    below seeds, all on the experiment's schedule."""
+def _seed_batch(exp: Experiment) -> Iterator[Trajectory]:
+    """One trajectory per seed of the experiment's batch, stepped as it is
+    asked for: seed + i for i below seeds, all on the experiment's schedule."""
     config = exp.config
-    return [run_trajectory(exp, config.seed + i) for i in range(config.seeds)]
+    for i in range(config.seeds):
+        yield run_trajectory(exp, config.seed + i)
 
 
-def run(config: RunConfig) -> list[Trajectory]:
-    """Run the configured experiment over its seed batch; writes nothing
-    (``tailopt run`` lays out the files).  A fixed (config, seed) gives the
-    same trajectory bit for bit."""
+def run(config: RunConfig) -> Iterator[Trajectory]:
+    """The configured experiment's seed batch, one trajectory at a time;
+    writes nothing (``tailopt run`` lays out the files).  The experiment is
+    built here, so a refused config raises before any step.  A fixed
+    (config, seed) gives the same trajectory bit for bit."""
     return _seed_batch(build_experiment(config))
 
 
@@ -628,9 +639,11 @@ def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
     horizons = check_horizon_grid(horizons)
     avg_rows, min_rows = [], []
     for T in horizons:
-        trajs = _seed_batch(build_experiment(config, horizon=T))
-        avg_rows.append(float(np.mean([t.grad_norm.mean() for t in trajs])))
-        min_rows.append(float(np.mean([t.grad_norm.min() for t in trajs])))
+        # each seed reduced to its scalars as it arrives, then dropped
+        avgs, mins = zip(*[(t.grad_norm.mean(), t.grad_norm.min())
+                           for t in _seed_batch(build_experiment(config, horizon=T))])
+        avg_rows.append(float(np.mean(avgs)))
+        min_rows.append(float(np.mean(mins)))
     slope, stderr = fit_rate_exponent(horizons, avg_rows)
     target = rate_exponent(config.p_moment, config.schedule_order)
     return _frozen(RateSweepResult(horizons=np.asarray(horizons, dtype=float),
@@ -671,12 +684,12 @@ def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
         cfg = replace(config, warmup=mode)
         exp = build_experiment(cfg)
         burn_in = _burn_in(cfg, exp.cert, exp.hp.horizon)
-        trajs = _seed_batch(exp)
-        final_f[mode] = np.array([t.final_f for t in trajs])
-        min_grad[mode] = np.array([t.grad_norm.min() for t in trajs])
-        # every step after the effective burn-in counts, at any ||m_t||
-        violations[mode] = np.array(
-            [np.sum(_descent_steps(t, burn_in + 1, 0.0)[2]) for t in trajs])
+        # each seed reduced as it arrives; every step after the effective
+        # burn-in is checked for descent, at any ||m_t||
+        per_seed = zip(*[(t.final_f, t.grad_norm.min(),
+                          np.sum(_descent_steps(t, burn_in + 1, 0.0)[2]))
+                         for t in _seed_batch(exp)])
+        final_f[mode], min_grad[mode], violations[mode] = map(np.array, per_seed)
     return _frozen(BurnInCompareResult(
         burn_in=burn_in, final_f=MappingProxyType(final_f),
         min_grad=MappingProxyType(min_grad),

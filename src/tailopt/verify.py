@@ -335,8 +335,9 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
     forced = replace(hp0, alpha=1.0, beta=0.0,
                      tau=hp0.grad_bound)  # tau = G / 1^(1/p)
     t_plain = run_trajectory(replace(exp_a, hp=forced), seed)
-    cfg_b = replace(tiny, algorithm="nigt", order="first")  # share the schedule
-    t_igt = run_trajectory(replace(build_experiment(cfg_b), hp=forced), seed)
+    # the same experiment and schedule; a step reads only the config's algorithm
+    t_igt = run_trajectory(replace(exp_a, config=replace(tiny, algorithm="nigt"),
+                                   hp=forced), seed)
     equal = (np.array_equal(t_plain.objective, t_igt.objective)
              and np.array_equal(t_plain.m_norm, t_igt.m_norm))
     results.append(CheckResult("nigt_equals_nsgd_at_beta0", 200,

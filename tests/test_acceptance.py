@@ -45,7 +45,7 @@ def crit1_config(**kw) -> RunConfig:
 @pytest.fixture(scope="module")
 def burn_in_batch():
     """100 seeded trajectories of criterion 1's setup at T = 10^4."""
-    return run(crit1_config(seeds=100))
+    return list(run(crit1_config(seeds=100)))
 
 
 def test_criterion_1_first_order_rate_exponent():

@@ -321,7 +321,7 @@ def test_artifacts_round_trip_bit_for_bit(tmp_path, monkeypatch, capsys):
 
 def test_run_zero_noise_descends():
     cfg = small_config(problem="quadratic", noise_scale=0.0, T=150)
-    traj = run(cfg)[0]
+    traj = next(run(cfg))
     assert traj.final_f < traj.objective[0]
 
 
@@ -467,7 +467,7 @@ def test_burn_in_compare_with_forced_hold():
 
 def test_nigt_runs_and_matches_nsgd_at_beta_zero():
     cfg = small_config(T=120, algorithm="nigt")
-    traj = run(cfg)[0]
+    traj = next(run(cfg))
     assert check_trajectory_invariants(traj)["step_length"]
 
 
@@ -548,9 +548,15 @@ _EXISTING_FILE = "<existing file>"
     (["verify", "--seed", "x"], None, "seed"),
     (["run", "--T", "10", "--dim", "2", "--seeds", "100000000000000000000"], None,
      "seeds"),
+    # a quadratic whose objective overflows on its own path
+    (["run", "--problem", "quadratic", "--start-value", "1e200", "--dim", "2",
+      "--T", "5"], None, "s, T, dim, eig_max, start_value"),
+    (["run", "--problem", "quadratic", "--s", "1e200", "--dim", "2", "--T", "5",
+      "--out", "q1"], None, "s, T, dim, eig_max, start_value"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
                                                  argv, ini, field):
+    monkeypatch.chdir(tmp_path)  # a relative --out is made here, then removed
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = [str(taken) if arg == _EXISTING_FILE else arg for arg in argv]
@@ -574,10 +580,14 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
     ["run", "--T", "2", "--b", "5", "--out", "a/b"],
     ["rate-sweep", "--T-grid", "10,100,1000", "--b", "5", "--out", "c"],
     ["burn-in", "--T", "2", "--b", "5", "--out", "d"],
+    pytest.param(["rate-sweep", "--T-grid", "100,200,300", "--out", "e"],
+                 id="rate-sweep-grid"),
+    ["concentration", "--trials", "0", "--out", "f"],
 ], ids=lambda argv: argv[0])
 def test_a_refused_command_removes_only_the_directories_it_made(
         tmp_path, monkeypatch, capsys, argv):
-    # refused when the experiment is built, after --out was made
+    # refused when the experiment is built, the grid checked or the
+    # coverage batch sized, each after --out was made
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     assert list(tmp_path.iterdir()) == []
@@ -660,7 +670,9 @@ def test_cli_concentration_out_of_memory_names_its_own_fields(capsys):
     # addressable, but the (trials, length) sign flips need 8e16 bytes
     assert cli.main(["concentration", "--trials", "100000000000000",
                      "--length", "100"]) == 2
-    assert capsys.readouterr().err.startswith("config error: trials, length:")
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: trials, length:")
+    assert out == ""  # not even the table's header
 
 
 @pytest.mark.parametrize("ini", ["T = 5\n", "[run]\nT = 5\nT = 6\n", b"[run]\nout = \xff\n"])
@@ -902,7 +914,7 @@ def test_experiment_problem_is_read_only():
 def test_run_matches_run_trajectory_seed_for_seed():
     cfg = small_config(seeds=3, T=150)
     exp = build_experiment(cfg)
-    trajs = run(cfg)
+    trajs = list(run(cfg))
     assert [t.seed for t in trajs] == [3, 4, 5]
     for traj in trajs:
         ref = run_trajectory(exp, traj.seed)
@@ -946,6 +958,23 @@ def test_run_writes_nothing(tmp_path):
     cfg = small_config(T=50, seeds=2, out=str(tmp_path / "out"))
     assert [t.seed for t in run(cfg)] == [3, 4]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_refuses_at_the_call_and_steps_each_seed_once_as_asked(monkeypatch):
+    stepped = []
+
+    def counted(exp, seed):
+        stepped.append(seed)
+        return run_trajectory(exp, seed)
+
+    # the module attribute, the function the benchmark counts steps through
+    monkeypatch.setattr("tailopt.harness.run_trajectory", counted)
+    with pytest.raises(ConfigError, match="^T, b:"):
+        run(small_config(T=2, b=5.0))  # refused before it is iterated
+    trajs = run(small_config(T=50, seeds=3))
+    assert stepped == []  # built, but no seed stepped until asked for
+    assert next(trajs).seed == 3 and stepped == [3]
+    assert [t.seed for t in trajs] == [4, 5] and stepped == [3, 4, 5]
 
 
 @pytest.mark.parametrize("grid, reason", [

@@ -1,4 +1,5 @@
-"""Peak memory of the large draws behind ``verify``, as traced by tracemalloc.
+"""Peak memory of the large draws behind ``verify`` and of the seed batches
+of the run-family commands, as traced by tracemalloc.
 
 numpy reports its data buffers to tracemalloc, so a traced peak counts
 every stream-sized temporary that a draw or a moment makes.
@@ -6,11 +7,13 @@ every stream-sized temporary that a draw or a moment makes.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tailopt.concentration import clipped_pareto_second_moment
+from tailopt.harness import RunConfig, burn_in_compare, rate_sweep, run
 from tailopt.problems import make_problem, pareto_radii
 from tailopt.spaces import NormedSpace
 from tailopt.verify import (_LEAF, majorant_checks, oracle_moment_checks,
@@ -72,3 +75,27 @@ def test_tail_moment_checks_match_the_per_stream_powers():
     assert (grows.worst, stabilizes.worst) == (grow, stable)
     assert (grows.violations, stabilizes.violations) == (n_seeds - grow,
                                                          n_seeds - stable)
+
+
+def _drain(cfg):
+    for _ in run(cfg):  # each trajectory dropped once the next one is stepped
+        pass
+
+
+SEED_BATCHES = {
+    "run": _drain,
+    "burn_in_compare": burn_in_compare,
+    "rate_sweep": lambda cfg: rate_sweep(cfg, [200, 2000, 20_000]),
+}
+
+
+@pytest.mark.slow  # 30-60 s each: tracing slows every step about 6 times
+@pytest.mark.parametrize("command", SEED_BATCHES)
+def test_a_seed_batch_holds_no_more_trajectories_as_it_grows(command):
+    # a trajectory at T = 2e4 records about 1.6 MB; a batch that held every
+    # seed's would peak near 4 times higher at 8 seeds than at 2.  Streamed,
+    # both hold two: the loop keeps the last one while the next one steps
+    cfg = RunConfig(T=20_000, dim=4, calib_samples=10_000)
+    peaks = [_traced_peak(lambda: SEED_BATCHES[command](replace(cfg, seeds=n)))[1]
+             for n in (2, 8)]
+    assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]
