@@ -122,27 +122,29 @@ class RunConfig:
     seeds: int = 1
     warmup: str = "none"             # none | hold
     warmup_steps: int | None = None  # override; default = certificate burn-in
-    order: str = ""                  # "" derives from algorithm
     calib_samples: int = 20_000
     safety: float = 1.5
     out: str = ""
 
     _SECTIONS = {
         "run": ["algorithm", "q", "T", "b", "s", "delta", "seed", "seeds",
-                "warmup", "warmup_steps", "order", "out"],
+                "warmup", "warmup_steps", "out"],
         "problem": ["problem", "dim", "amplitude", "eig_min", "eig_max",
                     "start_value"],
         "noise": ["p_moment", "tail_index", "noise_scale", "calib_samples",
                   "safety"],
     }
+    # each algorithm's schedule order: the order of the theorem that covers it
+    _ORDERS = {"nsgd": "first", "nigt": "second"}
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
-        if self.algorithm not in ("nsgd", "nigt"):
-            raise ConfigError(f"algorithm: expected nsgd or nigt, got {self.algorithm!r}")
+        if self.algorithm not in self._ORDERS:
+            raise ConfigError(f"algorithm: expected {' or '.join(self._ORDERS)}, "
+                              f"got {self.algorithm!r}")
         if self.problem not in ("cosine_sum", "quadratic"):
             raise ConfigError(f"problem: expected cosine_sum or quadratic, got {self.problem!r}")
         if self.dim < 1:
@@ -175,8 +177,6 @@ class RunConfig:
             raise ConfigError(f"warmup: expected none or hold, got {self.warmup!r}")
         if self.warmup_steps is not None and self.warmup_steps < 0:
             raise ConfigError(f"warmup_steps: must be nonnegative, got {self.warmup_steps}")
-        if self.order not in ("", "first", "second"):
-            raise ConfigError(f"order: expected first or second, got {self.order!r}")
         if self.calib_samples < 10_000:
             raise ConfigError(f"calib_samples: need at least 10000, got {self.calib_samples}")
         if self.safety < 1.0:
@@ -190,9 +190,7 @@ class RunConfig:
 
     @property
     def schedule_order(self) -> str:
-        if self.order:
-            return self.order
-        return "first" if self.algorithm == "nsgd" else "second"
+        return self._ORDERS[self.algorithm]
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -580,7 +578,7 @@ def write_trajectory_csv(traj: Trajectory, path: str):
 
 def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
     return {
-        "order": cert.order,
+        "order": hp.order,
         "T": hp.horizon,
         "p_moment": hp.p_moment,
         "grad_bound": hp.grad_bound,
@@ -588,7 +586,7 @@ def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
         "beta": hp.beta,
         "lr": hp.lr,
         "tau": hp.tau,
-        "delta": cert.delta,
+        "delta": hp.delta,
         "log_factor": cert.log_factor,
         "concentration_factor": cert.concentration_factor,
         "error_scale": cert.error_scale,
@@ -634,14 +632,16 @@ class RateSweepResult:
 
 def rate_sweep(config: RunConfig, horizons) -> RateSweepResult:
     """Average-gradient-norm decay across horizons, with a log-log fit; each
-    horizon runs the config's seed batch.  A grid the fit cannot use is
-    refused, naming ``T-grid``, before any step."""
+    horizon runs the config's seed batch.  A grid the fit cannot use, or a
+    horizon whose experiment cannot be built, is refused before any step:
+    every horizon's experiment is built before the first one runs."""
     horizons = check_horizon_grid(horizons)
+    exps = [build_experiment(config, horizon=T) for T in horizons]
     avg_rows, min_rows = [], []
-    for T in horizons:
+    for exp in exps:
         # each seed reduced to its scalars as it arrives, then dropped
         avgs, mins = zip(*[(t.grad_norm.mean(), t.grad_norm.min())
-                           for t in _seed_batch(build_experiment(config, horizon=T))])
+                           for t in _seed_batch(exp)])
         avg_rows.append(float(np.mean(avgs)))
         min_rows.append(float(np.mean(mins)))
     slope, stderr = fit_rate_exponent(horizons, avg_rows)

@@ -169,14 +169,12 @@ def extrapolation_point(state: OptimizerState, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BurnInCertificate:
-    order: str
     log_factor: float             # max(1, log(3 T / delta))
     concentration_factor: float   # the K constant
     error_scale: float            # the Z constant
     burn_in: int                  # step count, clamped to [0, T]
     momentum_error_bound: float   # post-burn-in bound on ||m_t - grad F(w_t)||
     momentum_threshold: float     # guaranteed-descent condition on ||m_t||
-    delta: float
 
 
 def burn_in_certificate(hp: HyperParams, lipschitz: float, hessian_lipschitz: float,
@@ -206,10 +204,9 @@ def burn_in_certificate(hp: HyperParams, lipschitz: float, hessian_lipschitz: fl
     burn_in = math.ceil(min(raw, T)) if raw > 0.0 else 0
     err = 2.0 * Z / T ** r_exp
     thresh = 2.0 * (6.0 * Z / T ** r_exp + lipschitz * s / (2.0 * T ** lr_exp))
-    return BurnInCertificate(order=hp.order, log_factor=D, concentration_factor=K,
-                             error_scale=Z, burn_in=burn_in,
-                             momentum_error_bound=err, momentum_threshold=thresh,
-                             delta=delta)
+    return BurnInCertificate(log_factor=D, concentration_factor=K, error_scale=Z,
+                             burn_in=burn_in, momentum_error_bound=err,
+                             momentum_threshold=thresh)
 
 
 def recommend_output(momentum_norms, burn_in: int) -> int:

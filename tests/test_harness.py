@@ -241,6 +241,28 @@ def test_run_writes_artifacts(tmp_path):
     assert "burn_in=" in cert and "momentum_threshold=" in cert
 
 
+@pytest.mark.parametrize("algorithm, order", [("nsgd", "first"), ("nigt", "second")])
+def test_the_certificate_order_follows_the_algorithm(tmp_path, capsys, algorithm, order):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--algo", algorithm, "--T", "50", "--dim", "2",
+                     "--out", str(out)]) == 0
+    cert = (out / "seed_0000" / "certificate.txt").read_text().splitlines()
+    assert cert[0] == f"order={order}"
+
+
+def test_the_schedule_order_is_no_config_field(tmp_path, capsys):
+    # the algorithm alone picks the order: no flag or key can mix them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--algo", "nsgd", "--order", "second", "--T", "50"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order" in capsys.readouterr().err
+    path = tmp_path / "old.ini"
+    path.write_text("[run]\norder = second\n")
+    assert cli.main(["run", "--config", str(path), "--T", "50"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: config file {path}: unknown key 'order'")
+
+
 def _text_is(text: str, value) -> bool:
     """A float cell holds the bits of ``value``; any other cell its str."""
     if isinstance(value, float):
@@ -745,13 +767,13 @@ def test_fuzzed_config_file_is_accepted_or_named(tmp_path, content):
 _RUN_FLAGS = ["--config", "--algo", "--problem", "--dim", "--amplitude",
               "--eig-min", "--eig-max", "--start-value", "--q", "--p-moment",
               "--tail-index", "--noise-scale", "--T", "--b", "--s", "--delta",
-              "--seed", "--seeds", "--warmup", "--warmup-steps", "--order",
+              "--seed", "--seeds", "--warmup", "--warmup-steps",
               "--calib-samples", "--safety", "--out"]
 _CLI_FLAGS = {"run": _RUN_FLAGS + ["--plots"],
               "rate-sweep": _RUN_FLAGS + ["--plots", "--T-grid"],
               "burn-in": _RUN_FLAGS}
 _CHOICE_FLAGS = {"--algo": ["nsgd", "nigt"], "--problem": ["cosine_sum", "quadratic"],
-                 "--warmup": ["none", "hold"], "--order": ["first", "second"]}
+                 "--warmup": ["none", "hold"]}
 _INT_FLAGS = {"--dim", "--T", "--seed", "--seeds", "--warmup-steps", "--calib-samples"}
 # a shell argument holds no NUL character
 _ANY_ARG = st.one_of(
@@ -990,3 +1012,14 @@ def test_rate_sweep_refuses_a_grid_before_any_step(monkeypatch, grid, reason):
     monkeypatch.setattr("tailopt.harness.run_trajectory", no_work)
     with pytest.raises(ConfigError, match=f"^T-grid: .*{reason}"):
         rate_sweep(small_config(T=50, dim=3), grid)
+
+
+def test_rate_sweep_builds_every_horizon_before_any_step(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a horizon ran before the last one was built")
+
+    monkeypatch.setattr("tailopt.harness.run_trajectory", no_work)
+    # T = 100 and 10^4 build; the threshold overflows only at T = 10^6
+    cfg = RunConfig(seeds=2, safety=5e304, calib_samples=10_000)
+    with pytest.raises(ConfigError, match="the descent threshold is inf"):
+        rate_sweep(cfg, [100, 10_000, 1_000_000])

@@ -1,6 +1,8 @@
-"""The README's examples run as written, and its list of output files is
-what the commands write."""
+"""The README's examples run as written, its list of output files is what
+the commands write, and its command-line section names the flags there are."""
 
+import argparse
+import dataclasses
 import math
 import os
 import re
@@ -8,6 +10,7 @@ import re
 import pytest
 
 from tailopt import cli
+from tailopt.harness import RunConfig
 from tailopt.verify import CheckResult
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -65,3 +68,18 @@ def test_readme_lists_every_file_each_command_writes(tmp_path, monkeypatch,
         header = re.match(r"CSV `([^`]+)`", listed[file])
         if header:
             assert path.read_text().splitlines()[0] == header.group(1)
+
+
+def test_readme_command_line_names_every_run_flag_and_only_real_flags():
+    with open(README, encoding="utf-8") as fh:
+        section = re.search(r"^## Command line\n(.*?)^## ", fh.read(), re.M | re.S).group(1)
+    named = set(re.findall(r"--[A-Za-z][\w-]*", section)) - {"--name"}  # the pattern
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    every_flag = {flag for parser in sub.choices.values()
+                  for action in parser._actions for flag in action.option_strings}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    run_flags = {flag for action in sub.choices["run"]._actions
+                 if action.dest in fields for flag in action.option_strings}
+    assert run_flags - named == set(), "flags of run the README does not name"
+    assert named - every_flag == set(), "flags the README names that no command has"
