@@ -2,9 +2,10 @@
 
 A run is described by a flat ``RunConfig`` (built from an INI-style config
 file and/or CLI flags), expanded into problem + noise + space + schedule,
-and executed seed by seed.  The runners only compute; ``tailopt.cli``
-names each command's files and writes them through the writers here, so
-that every float in an artifact is formatted in one place.
+and executed in batches of seeds that step together as ``(B, dim)`` arrays,
+each seed with the bits of its run alone.  The runners only compute;
+``tailopt.cli`` names each command's files and writes them through the
+writers here, so that every float in an artifact is formatted in one place.
 
 Trajectory CSV schema (floats at 17 significant digits, which round-trip):
 
@@ -332,7 +333,7 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
                           "certificate is beyond the float range") from exc
     _require_finite(f"{horizon_field}, delta", "the log factor log(3T/delta)",
                     cert.log_factor)
-    _require_finite(f"s, b, {g_fields}", "the descent threshold",
+    _require_finite(f"{horizon_field}, s, b, {g_fields}", "the descent threshold",
                     cert.momentum_threshold)
     if config.problem == "quadratic":
         # each step moves lr_t <= lr in the primal l_q norm, which dominates
@@ -392,42 +393,54 @@ class Trajectory:
         }
 
 
-# steps per block of recorded rows: the diagnostics of a block are computed
-# together, and the buffers stay small next to whole-horizon arrays
+# seed-steps per block of recorded rows: the diagnostics of a block are
+# computed together, and the buffers stay small next to whole-horizon arrays
 _BLOCK = 1024
+# seed-steps of records a seed batch holds at once (about 81 bytes each), so
+# its width, and the memory of a command, does not grow with the seed count
+_SEED_STEPS = 2 ** 20
+# the per-step Trajectory fields a step loop records, in the order computed
+_RECORDED = ("objective", "grad_norm", "m_norm", "eps_hat", "eps", "sample_norm",
+             "clip_norm", "step_len", "w_norm")
 
 
-def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
-    """Execute one seeded trajectory of the configured algorithm.
+def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
+    """Step one seed (an int) on 1-D arrays, or a sequence of B seeds
+    together on ``(B, dim)`` arrays, each row with the bits of its seed alone.
+    Returns the recorded ``Trajectory`` fields: per-step arrays of shape
+    ``(*lead, T)`` and ``final_w``, ``(*lead, dim)``, where ``lead`` is ()
+    for one seed and (B,) for B.
 
     The step loop runs only the dynamics: the query point (w_t, or nigt's
     extrapolated x_t), the gradient there plus that step's noise, and one
-    momentum step.  The oracle noise of a block of ``_BLOCK`` steps is drawn
-    before its steps, from the same stream as one ``noise.sample`` call per
-    step (see ``HeavyTailNoise.draw_steps``).  Diagnostics are recorded
-    block-wise: each step stores w_t, m_t, the clipped sample, its raw norm
-    and (nigt) the query point in buffers of ``_BLOCK`` rows, and once per
-    block the objective, gradient norm, momentum norm and error, sample
-    error, step length and iterate norm are each computed by one batched
-    call.  A batch row gets the bits of the single-vector call (see
-    ``spaces``), so the values equal those of per-step evaluation.  A step's
-    clip flag is its raw norm above tau; the norm of the sample it stepped
-    on is recorded beside it, so the invariants can check the clip itself.
+    momentum step.  A block holds at most ``_BLOCK`` seed-steps.  Each
+    seed's generator draws its oracle noise for the block before the block's
+    steps, from the same stream as one ``noise.sample`` call per step (see
+    ``HeavyTailNoise.draw_steps``).  Diagnostics are recorded block-wise:
+    each step stores w_t, m_t, the clipped sample, its raw norm and (nigt)
+    the query point in buffers, and once per block the objective, gradient
+    norm, momentum norm and error, sample error, step length and iterate
+    norm are each computed by one batched call.  A batch row gets the bits
+    of the single-vector call (see ``spaces``), so the values equal those of
+    per-step evaluation.
     """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
-    T = hp.horizon
-    rng = np.random.default_rng(seed)
-    state = init_state(problem.start)
-    (objective, grad_norm, m_norm, eps_hat, eps, sample_norm, clip_norm,
-     step_len, w_norm) = (np.empty(T) for _ in range(9))
+    T, dim = hp.horizon, space.dim
+    lead = np.shape(seeds)
+    rngs = [np.random.default_rng(s) for s in (seeds if lead else [seeds])]
+    state = init_state(np.broadcast_to(problem.start, (*lead, dim)))
+    record = {name: np.empty((*lead, T)) for name in _RECORDED}
     nigt = exp.config.algorithm == "nigt"
     lrs = exp.lr_seq.tolist()
-    rows = min(_BLOCK, T)
-    w_buf = np.empty((rows + 1, space.dim))  # w_t per row, then the next iterate
-    m_buf, g_buf, q_buf = (np.empty((rows, space.dim)) for _ in range(3))
+    rows = min(max(1, _BLOCK // len(rngs)), T)
+    w_buf = np.empty((rows + 1, *lead, dim))  # w_t per row, then the next iterate
+    m_buf, g_buf, q_buf, z = (np.empty((rows, *lead, dim)) for _ in range(4))
+    n_buf = np.empty((rows, *lead))
     for start in range(0, T, rows):
         n = min(rows, T - start)
-        z = noise.draw_steps(space, rng, n)
+        seed_noise = z[:n].reshape(n, len(rngs), dim)  # a view, one column a seed
+        for j, rng in enumerate(rngs):
+            seed_noise[:, j] = noise.draw_steps(space, rng, n)
         for i, t in enumerate(range(start, start + n)):
             w_buf[i] = state.w
             if nigt:
@@ -438,27 +451,40 @@ def run_trajectory(exp: Experiment, seed: int) -> Trajectory:
                 state, problem.gradient(query) + z[i], hp, space, lr=lrs[t])
             m_buf[i] = state.m
             g_buf[i] = info.g_clip
-            sample_norm[t] = info.sample_norm
+            n_buf[i] = info.sample_norm
         w_buf[n] = state.w
-        block, w, m = slice(start, start + n), w_buf[:n], m_buf[:n]
+        block, w, m, g = slice(start, start + n), w_buf[:n], m_buf[:n], g_buf[:n]
         grad = problem.gradient(w)
         query_grad = problem.gradient(q_buf[:n]) if nigt else grad
-        objective[block] = problem.value(w)
-        grad_norm[block] = space.dual_norm(grad)
-        m_norm[block] = space.dual_norm(m)
-        eps_hat[block] = space.dual_norm(m - grad)
-        eps[block] = space.dual_norm(g_buf[:n] - query_grad)
-        clip_norm[block] = space.dual_norm(g_buf[:n])
-        step_len[block] = space.primal_norm(w_buf[1:n + 1] - w)
-        w_norm[block] = space.primal_norm(w)
-    clipped = (sample_norm > hp.tau).astype(np.uint8)
+        # each value is (n, *lead); its transpose is the record's (*lead, n)
+        for name, value in zip(_RECORDED, (
+                problem.value(w), space.dual_norm(grad), space.dual_norm(m),
+                space.dual_norm(m - grad), space.dual_norm(g - query_grad),
+                n_buf[:n], space.dual_norm(g),
+                space.primal_norm(w_buf[1:n + 1] - w), space.primal_norm(w))):
+            record[name][..., block] = np.transpose(value)
+    record["final_w"] = state.w
+    return record
+
+
+def run_trajectory(exp: Experiment, seed: int,
+                   record: dict[str, np.ndarray] | None = None) -> Trajectory:
+    """One seeded trajectory of the configured algorithm.
+
+    Without ``record``, the seed is stepped here, as a batch of one on 1-D
+    arrays (see ``_step_seeds``).  A seed batch passes each seed's row of
+    the batch it stepped instead, so every trajectory, stepped alone or in
+    a batch, is made here.  A step's clip flag is its raw norm above tau;
+    the norm of the sample it stepped on is recorded beside it, so the
+    invariants can check the clip itself.
+    """
+    rec = _step_seeds(exp, seed) if record is None else record
     return _frozen(Trajectory(
-        seed=seed, algorithm=exp.config.algorithm, hp=hp, cert=exp.cert,
-        steps=np.arange(1, T + 1), objective=objective, grad_norm=grad_norm,
-        m_norm=m_norm, eps_hat=eps_hat, eps=eps, clipped=clipped, lr=exp.lr_seq,
-        sample_norm=sample_norm, clip_norm=clip_norm, step_len=step_len, w_norm=w_norm,
-        final_w=state.w.copy(), final_f=float(problem.value(state.w)),
-        selected_step=recommend_output(m_norm, exp.cert.burn_in)))
+        seed=seed, algorithm=exp.config.algorithm, hp=exp.hp, cert=exp.cert,
+        steps=np.arange(1, exp.hp.horizon + 1),
+        clipped=(rec["sample_norm"] > exp.hp.tau).astype(np.uint8), lr=exp.lr_seq,
+        final_f=float(exp.problem.value(rec["final_w"])),
+        selected_step=recommend_output(rec["m_norm"], exp.cert.burn_in), **rec))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +622,30 @@ def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:
     }
 
 
+def _batch_width(seeds: int, horizon: int) -> int:
+    """How many seeds step together: at most ``_BLOCK``, and few enough that
+    their records hold at most ``_SEED_STEPS`` seed-steps (but at least one)."""
+    return min(seeds, _BLOCK, max(1, _SEED_STEPS // horizon))
+
+
 def _seed_batch(exp: Experiment) -> Iterator[Trajectory]:
-    """One trajectory per seed of the experiment's batch, stepped as it is
-    asked for: seed + i for i below seeds, all on the experiment's schedule."""
+    """One trajectory per seed of the experiment's batch, seed + i for i
+    below seeds, all on the experiment's schedule.  Seeds step together in
+    batches of ``_batch_width`` (a batch of one on 1-D arrays), each batch
+    when its first trajectory is asked for; each trajectory owns a copy of
+    its row, so one that is kept holds no other seed's records."""
     config = exp.config
-    for i in range(config.seeds):
-        yield run_trajectory(exp, config.seed + i)
+    seeds = range(config.seed, config.seed + config.seeds)
+    width = _batch_width(config.seeds, exp.hp.horizon)
+    for lo in range(0, len(seeds), width):
+        batch = seeds[lo:lo + width]
+        if len(batch) == 1:
+            yield run_trajectory(exp, batch[0])
+            continue
+        record = _step_seeds(exp, batch)
+        for i, seed in enumerate(batch):
+            yield run_trajectory(exp, seed, {k: a[i].copy() for k, a in record.items()})
+        del record  # freed before the next batch steps
 
 
 def run(config: RunConfig) -> Iterator[Trajectory]:

@@ -134,7 +134,8 @@ class OptimizerState(NamedTuple):
 
 
 class StepInfo(NamedTuple):
-    sample_norm: float   # dual norm of the raw sample; clipped iff above tau
+    sample_norm: float | np.ndarray  # dual norm of the raw sample (per row);
+                                     # clipped iff above tau
     g_clip: np.ndarray   # the clipped sample fed into the momentum
 
 
@@ -148,11 +149,21 @@ def clipped_momentum_step(state: OptimizerState, sample, hp: HyperParams,
                           lr: float) -> tuple[OptimizerState, StepInfo]:
     """One normalized momentum step of length ``lr`` on ``sample``, a
     stochastic gradient the caller drew at its query point: ``state.w``, or
-    ``extrapolation_point(state, hp.beta)``."""
+    ``extrapolation_point(state, hp.beta)``.
+
+    The step acts on the last axis, so a state and sample of shape
+    ``(B, dim)`` step B runs at once, each row with the bits it gets on its
+    own; ``sample_norm`` is then one norm per row."""
     sample = np.asarray(sample, dtype=float)
-    sample_norm = float(space.dual_norm(sample))
-    # same arithmetic as space.clip_dual, reusing the norm computed above
-    g_clip = sample * (hp.tau / sample_norm) if sample_norm > hp.tau else sample
+    sample_norm = space.dual_norm(sample)
+    clipped = sample_norm > hp.tau  # a bool for one vector, an array for a batch
+    g_clip = sample
+    if clipped is True or isinstance(clipped, np.ndarray) and clipped.any():
+        # a clipped row is sample * (tau / norm), as in space.clip_dual; the
+        # others are scaled by tau / tau = 1, which keeps their bits, and no
+        # row divides by a norm of 0
+        scale = hp.tau / np.where(clipped, sample_norm, hp.tau)
+        g_clip = sample * np.expand_dims(scale, -1)
     m = hp.beta * state.m + (1.0 - hp.beta) * g_clip
     w_next = state.w - lr * space.duality_map(m)
     return OptimizerState(w_next, state.w, m), StepInfo(sample_norm, g_clip)

@@ -35,7 +35,10 @@ on one Python float: when its largest magnitude (at q = 2 its sum of
 squares) is a finite normal float, the norm and the duality map run one
 ufunc per arithmetic operation and no masks; a zero, subnormal, infinite
 or NaN vector takes the batch path.  Every power stays an array ``power``
-on ``keepdims`` arrays, so the lean path keeps the batch path's bits.
+on ``keepdims`` arrays, so the lean path keeps the batch path's bits.  At
+q = 2 a small batch whose rows all have a finite normal sum of squares,
+the case of a batch of seeds stepping together, skips the masks the same
+way.
 """
 
 from __future__ import annotations
@@ -52,6 +55,28 @@ _HUGE = np.finfo(float).max
 # a sum of squares whose dot product is below it has no square or partial sum
 # that overflows, in any order of summation
 _SQUARES_MAX = float(_HUGE) / 4
+
+
+# the most elements of a batch that takes the lean Euclidean path: it saves
+# a fixed cost (the error state and the masks, some microseconds) and adds a
+# pass over the batch, which costs more than that on larger batches
+_LEAN_BATCH = 4096
+
+
+def _normal_squares(v: np.ndarray) -> np.ndarray | None:
+    """``keepdims`` sums of squares along the last axis of a batch of at
+    most ``_LEAN_BATCH`` elements, or None unless every one is a finite
+    normal float.  The largest and smallest components are checked first,
+    so that no square or partial sum can overflow and warn (``np.vdot``
+    over a batch can be a threaded BLAS call, which costs milliseconds)."""
+    bound = math.sqrt(_SQUARES_MAX / v.shape[-1])
+    # a NaN fails the bounds; max and min take no temporary array
+    if (v.size <= _LEAN_BATCH and v.max(initial=-bound) < bound
+            and v.min(initial=bound) > -bound):
+        ss = np.add.reduce(v * v, axis=-1, keepdims=True)
+        if (ss >= _TINY).all():
+            return ss
+    return None
 
 
 def _factored_norm(v: np.ndarray, p: float) -> np.ndarray:
@@ -85,15 +110,18 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
     the clamped factor, anything else takes the batch path.  At p = 2 the
     vector first passes ``np.vdot(v, v)``, which raises no floating-point
     warning, against ``_SQUARES_MAX``, so the lean path warns on no input
-    and a vector whose squares overflow is max-factored.  The square root is
-    IEEE-exact, so ``math.sqrt`` has the bits of ``np.sqrt``; every other
-    power stays an array power.
+    and a vector whose squares overflow is max-factored.  A batch skips the
+    masks when every row's sum of squares is a finite normal float (see
+    ``_normal_squares``).  The square root is IEEE-exact, so ``math.sqrt``
+    has the bits of ``np.sqrt``; every other power stays an array power.
     """
     if p == 2.0:
         if v.ndim == 1 and np.vdot(v, v) < _SQUARES_MAX:  # a NaN fails it
             s = float(np.add.reduce(v * v))
             if _TINY <= s:
                 return math.sqrt(s)
+        elif v.ndim > 1 and (ss := _normal_squares(v)) is not None:
+            return np.sqrt(ss)[..., 0]
         with np.errstate(over="ignore"):  # a row whose squares overflow is max-factored
             ss = np.add.reduce(v * v, axis=-1, keepdims=True)
         out = np.sqrt(ss)
@@ -203,11 +231,13 @@ class NormedSpace:
         v = self._check_dim(v)
         r = self.dual_exponent
         if r == 2.0:
-            # the lean path of _lp_norm: no square or partial sum overflows
+            # the lean paths of _lp_norm: no square or partial sum overflows
             if v.ndim == 1 and np.vdot(v, v) < _SQUARES_MAX:
                 s = float(np.add.reduce(v * v))
                 if _TINY <= s:
                     return v / math.sqrt(s)
+            elif v.ndim > 1 and (ss := _normal_squares(v)) is not None:
+                return v / np.sqrt(ss)
             # a norm that overflows is inf, the unit vector comes from
             # _factored_map, and the overflow is no fault of the map
             with np.errstate(over="ignore"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tailopt import cli
+from tailopt import cli, harness
 from tailopt.concentration import WeightedStreamSpec, truncated_sum_bound
 from tailopt.harness import (_BLOCK, CSV_HEADER, BurnInCompareResult,
                              ConfigError, RateSweepResult, RunConfig,
@@ -562,7 +562,7 @@ _EXISTING_FILE = "<existing file>"
     (["run", "--T", "50", "--dim", "3", "--noise-scale", "1e110", "--b", "1e-300"],
      None, "T, b, amplitude, noise_scale, safety"),
     (["run", "--T", "50", "--dim", "3", "--b", "1e-320"], None,
-     "s, b, amplitude, noise_scale, safety"),
+     "T, s, b, amplitude, noise_scale, safety"),
     (["run", "--T", "50", "--dim", "3", "--algo", "nigt", "--s", "1e200"], None, "s, b"),
     # a flag's text is parsed and checked as the INI value would be
     (["run", "--dim", "x"], None, "dim"),
@@ -575,6 +575,10 @@ _EXISTING_FILE = "<existing file>"
       "--T", "5"], None, "s, T, dim, eig_max, start_value"),
     (["run", "--problem", "quadratic", "--s", "1e200", "--dim", "2", "--T", "5",
       "--out", "q1"], None, "s, T, dim, eig_max, start_value"),
+    # the descent threshold grows with the horizon: finite at T = 100 and
+    # 10^4, inf at 10^6
+    (["rate-sweep", "--T-grid", "100,10000,1000000", "--safety", "5e304",
+      "--calib-samples", "10000"], None, "T-grid, s, b, amplitude, noise_scale, safety"),
 ])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, monkeypatch, capsys,
                                                  argv, ini, field):
@@ -983,20 +987,82 @@ def test_run_writes_nothing(tmp_path):
 
 
 def test_run_refuses_at_the_call_and_steps_each_seed_once_as_asked(monkeypatch):
-    stepped = []
+    stepped, returned = [], []
 
-    def counted(exp, seed):
-        stepped.append(seed)
-        return run_trajectory(exp, seed)
+    def step_counted(exp, seeds):
+        stepped.extend(np.atleast_1d(seeds).tolist())
+        return step_seeds(exp, seeds)
 
+    def counted(exp, seed, *record):
+        returned.append(seed)
+        return run_trajectory(exp, seed, *record)
+
+    step_seeds = harness._step_seeds
+    monkeypatch.setattr(harness, "_step_seeds", step_counted)
     # the module attribute, the function the benchmark counts steps through
-    monkeypatch.setattr("tailopt.harness.run_trajectory", counted)
+    monkeypatch.setattr(harness, "run_trajectory", counted)
+    # seeds 3-7 in batches of two: [3, 4], [5, 6], then 7 alone
+    monkeypatch.setattr(harness, "_SEED_STEPS", 2 * 50)
     with pytest.raises(ConfigError, match="^T, b:"):
         run(small_config(T=2, b=5.0))  # refused before it is iterated
-    trajs = run(small_config(T=50, seeds=3))
+    trajs = run(small_config(T=50, seeds=5))
     assert stepped == []  # built, but no seed stepped until asked for
-    assert next(trajs).seed == 3 and stepped == [3]
-    assert [t.seed for t in trajs] == [4, 5] and stepped == [3, 4, 5]
+    assert next(trajs).seed == 3 and stepped == [3, 4]
+    assert [t.seed for t in trajs] == [4, 5, 6, 7]
+    assert stepped == returned == [3, 4, 5, 6, 7]
+
+
+# B = 3 at T = 400: two batches of three seeds, then one seed alone
+_BATCH_CASES = [
+    *(pytest.param(algorithm, q, {}, id=f"{algorithm}-{q}")
+      for algorithm in ("nsgd", "nigt") for q in (2.0, 1.5)),
+    pytest.param("nigt", 2.0, {"warmup": "hold"}, id="nigt-2.0-hold"),
+    pytest.param("nsgd", 1.5, {"noise_scale": 0.0}, id="nsgd-1.5-zero_noise"),
+    pytest.param("nigt", 1.5, {"problem": "quadratic"}, id="nigt-1.5-quadratic"),
+]
+
+
+@pytest.mark.parametrize("algorithm, q, extra", _BATCH_CASES)
+def test_seed_batches_keep_each_seeds_bits(monkeypatch, algorithm, q, extra):
+    T, width = 400, 3
+    monkeypatch.setattr(harness, "_SEED_STEPS", width * T)
+    # b = 20 lowers the threshold enough that clipping fires on every noisy case
+    cfg = small_config(**{"algorithm": algorithm, "q": q, "T": T, "noise_scale": 3.0,
+                          "b": 20.0, "warmup_steps": 100, "seed": 11, "seeds": 7,
+                          **extra})
+    exp = build_experiment(cfg)
+    refs = {seed: run_trajectory(exp, seed) for seed in range(11, 18)}
+    blocks = []
+    draw_steps = HeavyTailNoise.draw_steps
+
+    def counted(self, space, rng, n):
+        blocks.append(n)
+        return draw_steps(self, space, rng, n)
+
+    monkeypatch.setattr(HeavyTailNoise, "draw_steps", counted)
+    trajs = list(run(cfg))
+    # each generator draws blocks that sum to T, of at most _BLOCK seed-steps
+    rows = _BLOCK // width
+    assert blocks == 2 * ([rows] * width + [T - rows] * width) + [T]
+    assert [t.seed for t in trajs] == list(refs)
+    for traj in trajs:
+        ref = refs[traj.seed]
+        assert traj.clipped.any() == (exp.noise.scale > 0.0)
+        for f in fields(traj):
+            value = getattr(traj, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(ref, f.name).tobytes(), f.name
+        assert (traj.final_f, traj.selected_step) == (ref.final_f, ref.selected_step)
+
+
+def test_a_trajectory_kept_from_a_batch_holds_only_its_own_arrays():
+    cfg = small_config(T=50, seeds=4)
+    assert harness._batch_width(cfg.seeds, cfg.T) == 4
+    kept = next(run(cfg))
+    for f in fields(kept):
+        value = getattr(kept, f.name)
+        if isinstance(value, np.ndarray):  # no view of the batch's (4, T) records
+            assert value.base is None and value.shape in {(50,), (4,)}, f.name
 
 
 @pytest.mark.parametrize("grid, reason", [

@@ -89,13 +89,15 @@ SEED_BATCHES = {
 }
 
 
-@pytest.mark.slow  # 30-60 s each: tracing slows every step about 6 times
+@pytest.mark.slow  # tracing slows every step several times
 @pytest.mark.parametrize("command", SEED_BATCHES)
-def test_a_seed_batch_holds_no_more_trajectories_as_it_grows(command):
+def test_a_seed_batch_holds_no_more_trajectories_as_it_grows(command, monkeypatch):
     # a trajectory at T = 2e4 records about 1.6 MB; a batch that held every
-    # seed's would peak near 4 times higher at 8 seeds than at 2.  Streamed,
-    # both hold two: the loop keeps the last one while the next one steps
+    # seed's would peak near 4 times higher at 8 seeds than at 2.  Seeds
+    # step two at a time here, so both hold one batch of two and the copies
+    # of its rows the loop has not yet dropped
     cfg = RunConfig(T=20_000, dim=4, calib_samples=10_000)
+    monkeypatch.setattr("tailopt.harness._SEED_STEPS", 2 * cfg.T)
     peaks = [_traced_peak(lambda: SEED_BATCHES[command](replace(cfg, seeds=n)))[1]
              for n in (2, 8)]
     assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]

@@ -194,10 +194,14 @@ def test_batch_rows_match_single_vector_calls(p):
     rng = np.random.default_rng(2024)
     batch = rng.standard_normal((50, 10)) * rng.lognormal(0, 3, size=(50, 1))
     batch[0] = 0.0
+    # the zero row sends the whole batch down the masked path at q = 2;
+    # without it the rows take the lean path, also as a (7, 7, dim) block
     for fn in (sp.dual_norm, sp.primal_norm, sp.duality_map):
-        rows = fn(batch)
-        for row, v in zip(rows, batch):
-            assert np.array_equal(row, fn(v)), (fn.__name__, v)
+        single = [fn(v) for v in batch]
+        for block in (batch, batch[1:], batch[1:].reshape(7, 7, 10)):
+            rows = np.reshape(fn(block), (-1, 10) if fn == sp.duality_map else -1)
+            for row, expect in zip(rows, single[len(batch) - len(rows):]):
+                assert np.array_equal(row, expect), (fn.__name__, block.shape)
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
