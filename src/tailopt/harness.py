@@ -24,6 +24,7 @@ import math
 import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -394,7 +395,8 @@ class Trajectory:
 
 
 # seed-steps per block of recorded rows: the diagnostics of a block are
-# computed together, and the buffers stay small next to whole-horizon arrays
+# computed together, and the buffers stay small next to whole-horizon arrays.
+# Also the rows per chunk a CSV writer formats at once
 _BLOCK = 1024
 # seed-steps of records a seed batch holds at once (about 81 bytes each), so
 # its width, and the memory of a command, does not grow with the seed count
@@ -413,16 +415,16 @@ def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
 
     The step loop runs only the dynamics: the query point (w_t, or nigt's
     extrapolated x_t), the gradient there plus that step's noise, and one
-    momentum step.  A block holds at most ``_BLOCK`` seed-steps.  Each
-    seed's generator draws its oracle noise for the block before the block's
-    steps, from the same stream as one ``noise.sample`` call per step (see
-    ``HeavyTailNoise.draw_steps``).  Diagnostics are recorded block-wise:
-    each step stores w_t, m_t, the clipped sample, its raw norm and (nigt)
-    the query point in buffers, and once per block the objective, gradient
-    norm, momentum norm and error, sample error, step length and iterate
-    norm are each computed by one batched call.  A batch row gets the bits
-    of the single-vector call (see ``spaces``), so the values equal those of
-    per-step evaluation.
+    momentum step.  A block holds at most ``_BLOCK`` seed-steps.  Before
+    the block's steps, one ``noise.draw_steps`` call draws the block's oracle
+    noise of every seed, each from its own generator and from the same
+    stream as one ``noise.sample`` call per step.  Diagnostics are recorded
+    block-wise: each step stores w_t, m_t, the clipped sample, its raw norm
+    and (nigt) the query point in buffers, and once per block the objective,
+    gradient norm, momentum norm and error, sample error, step length and
+    iterate norm are each computed by one batched call.  A batch row gets
+    the bits of the single-vector call (see ``spaces``), so the values equal
+    those of per-step evaluation.
     """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     T, dim = hp.horizon, space.dim
@@ -434,13 +436,11 @@ def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
     lrs = exp.lr_seq.tolist()
     rows = min(max(1, _BLOCK // len(rngs)), T)
     w_buf = np.empty((rows + 1, *lead, dim))  # w_t per row, then the next iterate
-    m_buf, g_buf, q_buf, z = (np.empty((rows, *lead, dim)) for _ in range(4))
+    m_buf, g_buf, q_buf = (np.empty((rows, *lead, dim)) for _ in range(3))
     n_buf = np.empty((rows, *lead))
     for start in range(0, T, rows):
         n = min(rows, T - start)
-        seed_noise = z[:n].reshape(n, len(rngs), dim)  # a view, one column a seed
-        for j, rng in enumerate(rngs):
-            seed_noise[:, j] = noise.draw_steps(space, rng, n)
+        z = noise.draw_steps(space, rngs, n).reshape(n, *lead, dim)
         for i, t in enumerate(range(start, start + n)):
             w_buf[i] = state.w
             if nigt:
@@ -573,7 +573,9 @@ def _row_format(cells, sep: str = ",") -> str:
 
 def write_csv(path: str, header: str, rows):
     """Write ``header`` and one line per row, a tuple of cells; the format
-    is derived once, from the first row, whose cell types every row shares."""
+    is derived once, from the first row, whose cell types every row shares.
+    Rows are formatted and written ``_BLOCK`` at a time, so a long file is
+    never held in memory whole."""
     rows = iter(rows)
     first = next(rows, None)
     with open(path, "w") as fh:
@@ -581,7 +583,8 @@ def write_csv(path: str, header: str, rows):
         if first is not None:
             fmt = _row_format(first)
             fh.write(fmt % first)
-            fh.write("".join(fmt % row for row in rows))
+            while chunk := "".join(fmt % row for row in islice(rows, _BLOCK)):
+                fh.write(chunk)
 
 
 def write_key_values(path: str, entries: dict):
@@ -599,7 +602,10 @@ def write_config(config: RunConfig):
 def write_trajectory_csv(traj: Trajectory, path: str):
     columns = (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
                traj.eps_hat, traj.eps, traj.clipped, traj.lr)
-    write_csv(path, CSV_HEADER, zip(*(c.tolist() for c in columns)))
+    # the columns become Python values one chunk of rows at a time
+    write_csv(path, CSV_HEADER, (
+        row for start in range(0, traj.horizon, _BLOCK)
+        for row in zip(*(c[start:start + _BLOCK].tolist() for c in columns))))
 
 
 def certificate_entries(hp: HyperParams, cert: BurnInCertificate) -> dict:

@@ -207,27 +207,29 @@ class HeavyTailNoise:
     def sample_radii(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return pareto_radii(rng, n, self.tail_index, self.scale)
 
-    def draw_steps(self, space: NormedSpace, rng: np.random.Generator,
-                   n: int) -> np.ndarray:
-        """The additive noise of n consecutive oracle calls, one row each.
+    def draw_steps(self, space: NormedSpace, rngs, n: int) -> np.ndarray:
+        """The additive noise of n consecutive oracle calls of each of B
+        generators, as an ``(n, B, dim)`` array: column j is generator j's.
 
         Each step draws dim standard normals (the direction) and then one
-        uniform (the radius), so the rows are what n successive
-        :meth:`sample` calls add to the gradient, and the generator ends in
-        the same state.  The noise does not depend on the query point,
-        which is what lets a trajectory draw a block of steps ahead.  A
-        zero-scale oracle adds -0.0, which leaves every gradient bit as it
-        is, and still consumes its draws.
+        uniform (the radius), so column j holds what n successive
+        :meth:`sample` calls on ``rngs[j]`` add to the gradient, and the
+        generator ends in the same state.  The noise does not depend on the
+        query point, which is what lets a trajectory draw a block of steps
+        ahead.  The dual norm, the zero-direction guard and the scaling run
+        once for the whole block.  A zero-scale oracle adds -0.0, which
+        leaves every gradient bit as it is, and still consumes its draws.
         """
-        u = np.empty((n, space.dim))
-        radii = []
-        normal, uniform = rng.standard_normal, rng.random
+        u = np.empty((n, len(rngs), space.dim))
+        radii = []  # generator by generator, step by step
         scale, power = self.scale, -1.0 / self.tail_index
-        for row in u:
-            normal(out=row)
-            # on Python floats, ** is C pow, which can differ in the last
-            # bit from the array power of pareto_radii
-            radii.append(scale * (1.0 - uniform()) ** power)
+        for rng, rows in zip(rngs, u.swapaxes(0, 1)):
+            normal, uniform = rng.standard_normal, rng.random
+            for row in rows:
+                normal(out=row)
+                # on Python floats, ** is C pow, which can differ in the
+                # last bit from the array power of pareto_radii
+                radii.append(scale * (1.0 - uniform()) ** power)
         if scale == 0.0:
             return np.full_like(u, -0.0)
         norms = space.dual_norm(u)
@@ -236,13 +238,14 @@ class HeavyTailNoise:
             u[zero] = 0.0
             u[zero, 0] = 1.0
             norms[zero] = 1.0
-        return (np.array(radii) / norms)[:, np.newaxis] * u
+        ratio = np.reshape(radii, (len(rngs), n)).T / norms
+        return np.multiply(ratio[..., np.newaxis], u, out=u)
 
     def sample(self, problem, space: NormedSpace, w,
                rng: np.random.Generator) -> np.ndarray:
         """One stochastic gradient at w: the gradient plus one step of
         :meth:`draw_steps`.  Consumes dim normal and one uniform draw."""
-        return problem.gradient(w) + self.draw_steps(space, rng, 1)[0]
+        return problem.gradient(w) + self.draw_steps(space, [rng], 1)[0, 0]
 
     def sample_batch(self, problem, space: NormedSpace, w,
                      rng: np.random.Generator, n: int) -> np.ndarray:

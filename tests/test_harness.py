@@ -163,9 +163,9 @@ def test_step_loop_draws_noise_once_per_block(monkeypatch, algorithm):
     blocks = []
     draw_steps = HeavyTailNoise.draw_steps
 
-    def counted(self, space, rng, n):
-        blocks.append(n)
-        return draw_steps(self, space, rng, n)
+    def counted(self, space, rngs, n):
+        blocks.append((n, len(rngs)))
+        return draw_steps(self, space, rngs, n)
 
     def no_sample(*args):
         raise AssertionError("the step loop called HeavyTailNoise.sample")
@@ -173,7 +173,7 @@ def test_step_loop_draws_noise_once_per_block(monkeypatch, algorithm):
     monkeypatch.setattr(HeavyTailNoise, "draw_steps", counted)
     monkeypatch.setattr(HeavyTailNoise, "sample", no_sample)
     run_trajectory(exp, 3)
-    assert blocks == [_BLOCK, _BLOCK, 5]  # ceil(T / _BLOCK) draws
+    assert blocks == [(_BLOCK, 1), (_BLOCK, 1), (5, 1)]  # ceil(T / _BLOCK) draws
 
 
 def test_tau_fault_injection_detected():
@@ -1035,15 +1035,16 @@ def test_seed_batches_keep_each_seeds_bits(monkeypatch, algorithm, q, extra):
     blocks = []
     draw_steps = HeavyTailNoise.draw_steps
 
-    def counted(self, space, rng, n):
-        blocks.append(n)
-        return draw_steps(self, space, rng, n)
+    def counted(self, space, rngs, n):
+        blocks.append((n, len(rngs)))
+        return draw_steps(self, space, rngs, n)
 
     monkeypatch.setattr(HeavyTailNoise, "draw_steps", counted)
     trajs = list(run(cfg))
-    # each generator draws blocks that sum to T, of at most _BLOCK seed-steps
+    # one draw per block for the whole batch: blocks sum to T, each of at
+    # most _BLOCK seed-steps
     rows = _BLOCK // width
-    assert blocks == 2 * ([rows] * width + [T - rows] * width) + [T]
+    assert blocks == 2 * [(rows, width), (T - rows, width)] + [(T, 1)]
     assert [t.seed for t in trajs] == list(refs)
     for traj in trajs:
         ref = refs[traj.seed]

@@ -1,5 +1,6 @@
-"""Peak memory of the large draws behind ``verify`` and of the seed batches
-of the run-family commands, as traced by tracemalloc.
+"""Peak memory of the large draws behind ``verify``, of the seed batches
+of the run-family commands and of the trajectory writer, as traced by
+tracemalloc.
 
 numpy reports its data buffers to tracemalloc, so a traced peak counts
 every stream-sized temporary that a draw or a moment makes.
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from tailopt.concentration import clipped_pareto_second_moment
-from tailopt.harness import RunConfig, burn_in_compare, rate_sweep, run
+from tailopt.harness import (_BLOCK, CSV_HEADER, RunConfig, _row_format,
+                             build_experiment, burn_in_compare, rate_sweep, run,
+                             run_trajectory, write_trajectory_csv)
 from tailopt.problems import make_problem, pareto_radii
 from tailopt.spaces import NormedSpace
 from tailopt.verify import (_LEAF, majorant_checks, oracle_moment_checks,
@@ -101,3 +104,29 @@ def test_a_seed_batch_holds_no_more_trajectories_as_it_grows(command, monkeypatc
     peaks = [_traced_peak(lambda: SEED_BATCHES[command](replace(cfg, seeds=n)))[1]
              for n in (2, 8)]
     assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]
+
+
+def _trajectory(T):
+    return run_trajectory(build_experiment(RunConfig(T=T, dim=2, calib_samples=10_000)), 0)
+
+
+def test_the_trajectory_writer_holds_a_chunk_not_the_file(tmp_path):
+    # a T = 1e5 file is 13 MB; formatting it whole peaked at 51.7 MB.  A
+    # chunk of _BLOCK rows as Python values and text is about 0.7 kB a row
+    path = str(tmp_path / "trajectory.csv")
+    traj = _trajectory(100_000)
+    _, peak = _traced_peak(lambda: write_trajectory_csv(traj, path))
+    assert peak <= 1000 * _BLOCK, peak / _BLOCK
+
+
+def test_chunked_rows_have_the_bytes_of_one_shot_formatting(tmp_path):
+    # a horizon that is not a multiple of the chunk: two whole chunks and
+    # five rows, after the first row the format is derived from
+    traj = _trajectory(2 * _BLOCK + 5)
+    columns = (traj.steps, traj.objective, traj.grad_norm, traj.m_norm,
+               traj.eps_hat, traj.eps, traj.clipped, traj.lr)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    fmt = _row_format(rows[0])
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, str(path))
+    assert path.read_text() == CSV_HEADER + "\n" + "".join(fmt % row for row in rows)

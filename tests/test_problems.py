@@ -158,7 +158,7 @@ def test_draw_steps_rows_have_the_replayed_radius_and_mean_zero(q, scale):
     noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=scale)
     sp = NormedSpace(dim=4, primal_exponent=q)
     n = 100_000
-    z = noise.draw_steps(sp, np.random.default_rng(17), n)
+    z = noise.draw_steps(sp, [np.random.default_rng(17)], n)[:, 0]
     replay = np.random.default_rng(17)
     radii = np.empty(n)
     for i in range(n):
@@ -180,10 +180,10 @@ def test_draw_steps_are_successive_samples(p, scale):
     sp = NormedSpace(dim=4, primal_exponent=p)
     w = np.array([0.3, -1.0, 2.5, 0.0])
     ahead, stepwise = np.random.default_rng(11), np.random.default_rng(11)
-    z = noise.draw_steps(sp, ahead, 50)
-    assert z.shape == (50, 4)
+    z = noise.draw_steps(sp, [ahead], 50)
+    assert z.shape == (50, 1, 4)
     grad = prob.gradient(w)
-    for row in z:
+    for row in z[:, 0]:
         assert (grad + row).tobytes() == noise.sample(prob, sp, w, stepwise).tobytes()
     assert ahead.random() == stepwise.random()
 
@@ -205,7 +205,7 @@ class _ZeroDirectionEveryOtherStep:
 def test_draw_steps_zero_direction_guard_per_row():
     noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8)
     sp = NormedSpace(dim=3, primal_exponent=1.5)
-    z = noise.draw_steps(sp, _ZeroDirectionEveryOtherStep(), 4)
+    z = noise.draw_steps(sp, [_ZeroDirectionEveryOtherStep()], 4)[:, 0]
     radius = 0.5 ** (-1.0 / 1.8)
     u = np.arange(1.0, 4.0)
     for row in z[0::2]:
@@ -346,3 +346,28 @@ def test_calibration_validates_inputs():
     with pytest.raises(ValueError):
         calibrate_grad_bound(prob, noise, sp, np.random.default_rng(0),
                              n_samples=20_000, safety=0.5)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+@pytest.mark.parametrize("q", [2.0, 1.5])
+def test_batch_draw_columns_are_each_generators_own_draw(q, scale):
+    # column j of one batch draw has the bytes of generator j drawn alone,
+    # and every generator ends in the same state.  Column 2 draws a zero
+    # direction every other step, so the guard acts row by row inside the
+    # batch, and its zero rows keep the batch off the lean q = 2 norm path
+    # that each other column takes alone
+    noise = HeavyTailNoise(p_moment=1.5, tail_index=1.8, scale=scale)
+    sp = NormedSpace(dim=5, primal_exponent=q)
+
+    def generators():
+        rngs = [np.random.default_rng(s) for s in (3, 4, 5)]
+        return rngs[:2] + [_ZeroDirectionEveryOtherStep()] + rngs[2:]
+
+    n, batch, alone = 50, generators(), generators()
+    z = noise.draw_steps(sp, batch, n)
+    assert z.shape == (n, 4, 5)
+    for j, rng in enumerate(alone):
+        assert z[:, j].tobytes() == noise.draw_steps(sp, [rng], n)[:, 0].tobytes()
+    assert batch[2].steps == alone[2].steps == n
+    for rng, ref in zip(batch[:2] + batch[3:], alone[:2] + alone[3:]):
+        assert rng.random() == ref.random()
