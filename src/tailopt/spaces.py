@@ -30,15 +30,13 @@ the same vector gets on its own, at every exponent.  Recording a
 trajectory's diagnostics block-wise therefore reproduces the per-step
 values exactly.
 
-A single vector, the optimizer's per-step case, settles its special cases
-on one Python float: when its largest magnitude (at q = 2 its sum of
-squares) is a finite normal float, the norm and the duality map run one
-ufunc per arithmetic operation and no masks; a zero, subnormal, infinite
-or NaN vector takes the batch path.  Every power stays an array ``power``
-on ``keepdims`` arrays, so the lean path keeps the batch path's bits.  At
-q = 2 a small batch whose rows all have a finite normal sum of squares,
-the case of a batch of seeds stepping together, skips the masks the same
-way.
+Common inputs skip the masks.  A single vector, the optimizer's per-step
+case, whose largest magnitude is a finite normal float runs one ufunc per
+arithmetic operation; at q = 2, so does any input of at most
+``_LEAN_BATCH`` elements whose rows all have a finite normal sum of
+squares, a vector or a batch of seeds stepping together.  Any other input
+takes the batch path.  Every power stays an array ``power`` on
+``keepdims`` arrays, so the lean paths keep the batch path's bits.
 """
 
 from __future__ import annotations
@@ -57,24 +55,24 @@ _HUGE = np.finfo(float).max
 _SQUARES_MAX = float(_HUGE) / 4
 
 
-# the most elements of a batch that takes the lean Euclidean path: it saves
-# a fixed cost (the error state and the masks, some microseconds) and adds a
-# pass over the batch, which costs more than that on larger batches
+# the most elements an input may have to take the lean Euclidean path.  It
+# keeps ``np.vdot`` below OpenBLAS's threading size (10^4 elements), where a
+# call can cost milliseconds instead of microseconds; and the path saves a
+# fixed cost (the error state and the masks, some microseconds) but adds a
+# pass over the input, which costs more than that on larger batches
 _LEAN_BATCH = 4096
 
 
-def _normal_squares(v: np.ndarray) -> np.ndarray | None:
-    """``keepdims`` sums of squares along the last axis of a batch of at
-    most ``_LEAN_BATCH`` elements, or None unless every one is a finite
-    normal float.  The largest and smallest components are checked first,
-    so that no square or partial sum can overflow and warn (``np.vdot``
-    over a batch can be a threaded BLAS call, which costs milliseconds)."""
-    bound = math.sqrt(_SQUARES_MAX / v.shape[-1])
-    # a NaN fails the bounds; max and min take no temporary array
-    if (v.size <= _LEAN_BATCH and v.max(initial=-bound) < bound
-            and v.min(initial=bound) > -bound):
-        ss = np.add.reduce(v * v, axis=-1, keepdims=True)
-        if (ss >= _TINY).all():
+def _lean_squares(v: np.ndarray) -> np.ndarray | np.float64 | None:
+    """Sums of squares along the last axis, a numpy scalar for one vector and
+    an array of rows for a batch, or None unless ``v`` has at most
+    ``_LEAN_BATCH`` elements and every sum is a finite normal float.
+    ``np.vdot(v, v)``, which raises no floating-point warning, is checked
+    against ``_SQUARES_MAX`` first, so no square or partial sum overflows."""
+    if v.size <= _LEAN_BATCH and np.vdot(v, v) < _SQUARES_MAX:  # a NaN fails it
+        ss = np.add.reduce(v * v, axis=-1)
+        # a vector's sum is a numpy scalar, compared without an array method
+        if (_TINY <= ss) if v.ndim == 1 else (ss >= _TINY).all():  # also on no rows
             return ss
     return None
 
@@ -105,23 +103,17 @@ def _lp_norm(v: np.ndarray, p: float) -> np.ndarray | float:
     vector with an infinite component has norm inf; one with a NaN
     component, NaN.
 
-    A single vector decides this on one float, its largest magnitude (at
-    p = 2, its sum of squares): a finite normal float skips the masks and
-    the clamped factor, anything else takes the batch path.  At p = 2 the
-    vector first passes ``np.vdot(v, v)``, which raises no floating-point
-    warning, against ``_SQUARES_MAX``, so the lean path warns on no input
-    and a vector whose squares overflow is max-factored.  A batch skips the
-    masks when every row's sum of squares is a finite normal float (see
-    ``_normal_squares``).  The square root is IEEE-exact, so ``math.sqrt``
-    has the bits of ``np.sqrt``; every other power stays an array power.
+    At p = 2 an input of at most ``_LEAN_BATCH`` elements whose rows all
+    have a finite normal sum of squares skips the masks (see
+    ``_lean_squares``); at other p a single vector whose largest magnitude
+    is a finite normal float skips them and the clamped factor.  Anything
+    else takes the batch path.  The square root is IEEE-exact, so
+    ``math.sqrt`` has the bits of ``np.sqrt``; every other power stays an
+    array power.
     """
     if p == 2.0:
-        if v.ndim == 1 and np.vdot(v, v) < _SQUARES_MAX:  # a NaN fails it
-            s = float(np.add.reduce(v * v))
-            if _TINY <= s:
-                return math.sqrt(s)
-        elif v.ndim > 1 and (ss := _normal_squares(v)) is not None:
-            return np.sqrt(ss)[..., 0]
+        if (ss := _lean_squares(v)) is not None:
+            return math.sqrt(ss) if v.ndim == 1 else np.sqrt(ss)
         with np.errstate(over="ignore"):  # a row whose squares overflow is max-factored
             ss = np.add.reduce(v * v, axis=-1, keepdims=True)
         out = np.sqrt(ss)
@@ -231,13 +223,9 @@ class NormedSpace:
         v = self._check_dim(v)
         r = self.dual_exponent
         if r == 2.0:
-            # the lean paths of _lp_norm: no square or partial sum overflows
-            if v.ndim == 1 and np.vdot(v, v) < _SQUARES_MAX:
-                s = float(np.add.reduce(v * v))
-                if _TINY <= s:
-                    return v / math.sqrt(s)
-            elif v.ndim > 1 and (ss := _normal_squares(v)) is not None:
-                return v / np.sqrt(ss)
+            if (ss := _lean_squares(v)) is not None:  # the lean path of _lp_norm
+                n = math.sqrt(ss) if v.ndim == 1 else np.sqrt(ss)[..., np.newaxis]
+                return v / n
             # a norm that overflows is inf, the unit vector comes from
             # _factored_map, and the overflow is no fault of the map
             with np.errstate(over="ignore"):

@@ -1,6 +1,6 @@
 """Peak memory of the large draws behind ``verify``, of the seed batches
-of the run-family commands and of the trajectory writer, as traced by
-tracemalloc.
+of the run-family commands and of their stepper, and of the trajectory
+writer, as traced by tracemalloc.
 
 numpy reports its data buffers to tracemalloc, so a traced peak counts
 every stream-sized temporary that a draw or a moment makes.
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from tailopt.concentration import clipped_pareto_second_moment
-from tailopt.harness import (_BLOCK, CSV_HEADER, RunConfig, _row_format,
-                             build_experiment, burn_in_compare, rate_sweep, run,
-                             run_trajectory, write_trajectory_csv)
+from tailopt.harness import (_BLOCK, _RECORDED, CSV_HEADER, RunConfig, _row_format,
+                             _step_seeds, build_experiment, burn_in_compare,
+                             rate_sweep, run, run_trajectory, write_trajectory_csv)
 from tailopt.problems import make_problem, pareto_radii
 from tailopt.spaces import NormedSpace
 from tailopt.verify import (_LEAF, majorant_checks, oracle_moment_checks,
@@ -85,6 +85,15 @@ def _drain(cfg):
         pass
 
 
+def _filled_records(exp, seeds):
+    """``_step_seeds``'s records, of their true shapes and dtypes, without a
+    step: all ones, as rate_sweep's log-log fit refuses a zero norm."""
+    lead = np.shape(seeds)
+    record = {name: np.ones((*lead, exp.hp.horizon)) for name in _RECORDED}
+    record["final_w"] = np.ones((*lead, exp.space.dim))
+    return record
+
+
 SEED_BATCHES = {
     "run": _drain,
     "burn_in_compare": burn_in_compare,
@@ -92,18 +101,32 @@ SEED_BATCHES = {
 }
 
 
-@pytest.mark.slow  # tracing slows every step several times
 @pytest.mark.parametrize("command", SEED_BATCHES)
 def test_a_seed_batch_holds_no_more_trajectories_as_it_grows(command, monkeypatch):
     # a trajectory at T = 2e4 records about 1.6 MB; a batch that held every
     # seed's would peak near 4 times higher at 8 seeds than at 2.  Seeds
     # step two at a time here, so both hold one batch of two and the copies
-    # of its rows the loop has not yet dropped
+    # of its rows the loop has not yet dropped.  The stepper is stubbed, as
+    # tracing its steps is slow; the next test bounds its own peak
     cfg = RunConfig(T=20_000, dim=4, calib_samples=10_000)
     monkeypatch.setattr("tailopt.harness._SEED_STEPS", 2 * cfg.T)
+    monkeypatch.setattr("tailopt.harness._step_seeds", _filled_records)
     peaks = [_traced_peak(lambda: SEED_BATCHES[command](replace(cfg, seeds=n)))[1]
              for n in (2, 8)]
     assert peaks[1] <= 1.2 * peaks[0], peaks[1] / peaks[0]
+
+
+@pytest.mark.parametrize("width", [2, 8])
+def test_the_stepper_holds_its_records_and_one_block(width):
+    # besides the (B, T) records, a step loop holds the schedule as T Python
+    # floats (32 bytes each) and a block's buffers and diagnostics, at most
+    # 16 arrays of _BLOCK seed-steps of dim floats; at T = 1e4 the records
+    # are 1.4 MB at B = 2 and 5.8 MB at B = 8, the allowance 0.8 MB
+    exp = build_experiment(RunConfig(T=10_000, dim=4, calib_samples=10_000))
+    record, peak = _traced_peak(lambda: _step_seeds(exp, range(width)))
+    records = sum(a.nbytes for a in record.values())
+    allowance = 32 * exp.hp.horizon + 16 * _BLOCK * exp.space.dim * 8
+    assert peak <= records + allowance, (peak - records) / allowance
 
 
 def _trajectory(T):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from tailopt.analysis import central_diff_gradient
-from tailopt.spaces import NormedSpace
+from tailopt.spaces import _LEAN_BATCH, NormedSpace
 
 SUPPORTED_PRIMALS = [1.2, 1.5, 2.0]  # dual exponents 6, 3, 2; C = 5, 2, 1
 
@@ -275,6 +275,46 @@ def test_extreme_rows_keep_single_vector_bits(p):
             rows = fn(batch)
             for row, v in zip(rows, batch):
                 assert np.array_equal(row, fn(v), equal_nan=True), (fn.__name__, v)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMALS)
+def test_empty_batches_give_empty_arrays(p):
+    sp = NormedSpace(dim=3, primal_exponent=p)
+    for lead in ((0,), (2, 0)):
+        empty = np.empty((*lead, 3))
+        for fn in (sp.dual_norm, sp.primal_norm):
+            out = fn(empty)
+            assert isinstance(out, np.ndarray) and out.shape == lead, fn.__name__
+        assert sp.duality_map(empty).shape == (*lead, 3)
+
+
+@pytest.mark.parametrize("shape", [(4095,), (4096,), (4097,), (12_000,),
+                                   (5, 819), (8, 512), (17, 241)])
+def test_euclidean_inputs_about_the_lean_cap_keep_their_row_bits(shape, monkeypatch):
+    # at q = 2 np.vdot guards the lean path; it never sees more than
+    # _LEAN_BATCH elements (above about 1e4 it can be a threaded BLAS call),
+    # and an input on either side of the cap gets the bits, sign bit
+    # included, of its rows in a batch that takes the masked path
+    sizes, vdot = [], np.vdot
+
+    def spy(a, b):
+        sizes.append(np.size(a))
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    dim = shape[-1]
+    sp = NormedSpace.euclidean(dim)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(shape) * rng.lognormal(0, 3, size=(*shape[:-1], 1))
+    v[..., 1] = -0.0
+    big = np.concatenate([v.reshape(-1, dim), np.zeros((1, dim))])
+    for fn in (sp.dual_norm, sp.primal_norm, sp.duality_map):
+        got, rows = fn(v), fn(big)[:-1]
+        if v.ndim == 1 and fn != sp.duality_map:
+            assert type(got) is float
+        assert np.asarray(got).tobytes() == rows.tobytes(), (fn.__name__, shape)
+    assert max(sizes, default=0) <= _LEAN_BATCH, max(sizes)
+    assert bool(sizes) == (v.size <= _LEAN_BATCH)  # the lean path was taken
 
 
 def test_euclidean_squares_that_overflow_raise_no_warning():
