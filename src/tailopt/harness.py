@@ -31,8 +31,9 @@ import numpy as np
 
 from tailopt.analysis import fit_rate_exponent, rate_fit_horizons
 from tailopt.optimizers import (BurnInCertificate, HyperParams,
-                                burn_in_certificate, clipped_momentum_step,
-                                extrapolation_point, init_state, rate_exponent,
+                                OptimizerState, burn_in_certificate,
+                                clipped_momentum_step, extrapolation_point,
+                                init_state, rate_exponent,
                                 recommend_output, schedule, warmup_lr_schedule)
 from tailopt.problems import HeavyTailNoise, calibrate_grad_bound, make_problem
 from tailopt.spaces import NormedSpace
@@ -413,18 +414,21 @@ def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
     ``(*lead, T)`` and ``final_w``, ``(*lead, dim)``, where ``lead`` is ()
     for one seed and (B,) for B.
 
-    The step loop runs only the dynamics: the query point (w_t, or nigt's
-    extrapolated x_t), the gradient there plus that step's noise, and one
-    momentum step.  A block holds at most ``_BLOCK`` seed-steps.  Before
-    the block's steps, one ``noise.draw_steps`` call draws the block's oracle
-    noise of every seed, each from its own generator and from the same
-    stream as one ``noise.sample`` call per step.  Diagnostics are recorded
-    block-wise: each step stores w_t, m_t, the clipped sample, its raw norm
-    and (nigt) the query point in buffers, and once per block the objective,
-    gradient norm, momentum norm and error, sample error, step length and
-    iterate norm are each computed by one batched call.  A batch row gets
-    the bits of the single-vector call (see ``spaces``), so the values equal
-    those of per-step evaluation.
+    The step loop runs only what the next step depends on: the query point
+    (w_t, or nigt's extrapolated x_t); the gradient there, kept per row,
+    plus the step's noise row, which becomes the sample in place; and one
+    ``clipped_momentum_step``, which writes w_{t+1} and m_t into the block's
+    buffers.  A clipped sample is kept only on a step that clipped.  A block
+    holds at most ``_BLOCK`` seed-steps.  Before its steps, one
+    ``noise.draw_steps`` call draws the block's oracle noise of every seed,
+    each from its own generator and from the same stream as one
+    ``noise.sample`` call per step, and the block's slice of the schedule
+    becomes Python floats.  After them, the objective, the gradient norm,
+    the momentum norm and error, the sample error, the raw and clipped
+    sample norms, the step length and the iterate norm are each computed by
+    one batched call; the kept query gradients are nsgd's gradient at w_t
+    and nigt's at x_t.  A batch row gets the bits of the single-vector call
+    (see ``spaces``), so the values equal those of per-step evaluation.
     """
     problem, noise, space, hp = exp.problem, exp.noise, exp.space, exp.hp
     T, dim = hp.horizon, space.dim
@@ -433,37 +437,45 @@ def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
     state = init_state(np.broadcast_to(problem.start, (*lead, dim)))
     record = {name: np.empty((*lead, T)) for name in _RECORDED}
     nigt = exp.config.algorithm == "nigt"
-    lrs = exp.lr_seq.tolist()
     rows = min(max(1, _BLOCK // len(rngs)), T)
     w_buf = np.empty((rows + 1, *lead, dim))  # w_t per row, then the next iterate
-    m_buf, g_buf, q_buf = (np.empty((rows, *lead, dim)) for _ in range(3))
-    n_buf = np.empty((rows, *lead))
+    m_buf, qg_buf = np.empty((rows, *lead, dim)), np.empty((rows, *lead, dim))
     for start in range(0, T, rows):
         n = min(rows, T - start)
-        z = noise.draw_steps(space, rngs, n).reshape(n, *lead, dim)
-        for i, t in enumerate(range(start, start + n)):
-            w_buf[i] = state.w
-            if nigt:
-                query = q_buf[i] = extrapolation_point(state, hp.beta)
-            else:
-                query = state.w
-            state, info = clipped_momentum_step(
-                state, problem.gradient(query) + z[i], hp, space, lr=lrs[t])
-            m_buf[i] = state.m
-            g_buf[i] = info.g_clip
-            n_buf[i] = info.sample_norm
-        w_buf[n] = state.w
-        block, w, m, g = slice(start, start + n), w_buf[:n], m_buf[:n], g_buf[:n]
-        grad = problem.gradient(w)
-        query_grad = problem.gradient(q_buf[:n]) if nigt else grad
+        # the state moves into the buffers, which the last block's w_{t-1}
+        # and m_{t-1} may share, so those two are copied out first
+        w_prev, m_prev = state.w_prev.copy(), state.m.copy()
+        w_buf[0] = state.w
+        state = OptimizerState(w_buf[0], w_prev, m_prev)
+        # the block's noise; each row becomes its step's sample in place
+        samples = noise.draw_steps(space, rngs, n).reshape(n, *lead, dim)
+        clips = []
+        for i, (lr, sample, qg, w_next, m_t) in enumerate(zip(
+                exp.lr_seq[start:start + n].tolist(), samples, qg_buf, w_buf[1:],
+                m_buf)):
+            query = extrapolation_point(state, hp.beta) if nigt else state.w
+            qg[...] = problem.gradient(query)
+            np.add(qg, sample, sample)
+            state, info = clipped_momentum_step(state, sample, hp, space, lr,
+                                                (w_next, m_t))
+            if info.g_clip is not sample:
+                clips.append((i, info.g_clip))
+        block, w, m = slice(start, start + n), w_buf[:n], m_buf[:n]
+        query_grad = qg_buf[:n]
+        g = samples
+        if clips:
+            g = samples.copy()
+            for i, g_clip in clips:
+                g[i] = g_clip
+        grad = problem.gradient(w) if nigt else query_grad
         # each value is (n, *lead); its transpose is the record's (*lead, n)
         for name, value in zip(_RECORDED, (
                 problem.value(w), space.dual_norm(grad), space.dual_norm(m),
                 space.dual_norm(m - grad), space.dual_norm(g - query_grad),
-                n_buf[:n], space.dual_norm(g),
+                space.dual_norm(samples), space.dual_norm(g),
                 space.primal_norm(w_buf[1:n + 1] - w), space.primal_norm(w))):
             record[name][..., block] = np.transpose(value)
-    record["final_w"] = state.w
+    record["final_w"] = state.w.copy()
     return record
 
 

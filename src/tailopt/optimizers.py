@@ -14,6 +14,15 @@ for the second-order method (nigt), which cancels the Hessian-level
 momentum bias on second-order-smooth objectives.  At beta = 0 the two
 query points coincide, and so do the methods step for step.
 
+A step does only what the update needs.  Whether the sample leaves the
+dual tau-ball is settled by one dot product (every dual norm here is l_r
+with r >= 2, so ||g||_r <= ||g||_2); only a sample near or above tau, or
+one that is not finite, has its dual norm computed, and that norm decides
+the clip.  The step can write m_t and w_{t+1} into the caller's arrays.
+It records no norms: a caller that wants them (the sample's dual norm,
+whose excess over tau is the clip flag, among them) computes them from
+the samples, many steps at once.
+
 ``schedule`` pins alpha, lr and tau to the horizon:
 
     order="first":   alpha = b / T^(p/(3p-2)),    lr = s / T^((2p-1)/(3p-2))
@@ -134,9 +143,11 @@ class OptimizerState(NamedTuple):
 
 
 class StepInfo(NamedTuple):
-    sample_norm: float | np.ndarray  # dual norm of the raw sample (per row);
-                                     # clipped iff above tau
-    g_clip: np.ndarray   # the clipped sample fed into the momentum
+    """What a step made that its caller cannot derive from the new state and
+    the sample: the sample it fed into the momentum.  Norms, the clip flag
+    among them (the sample's dual norm above tau), are left to the caller."""
+
+    g_clip: np.ndarray   # the clipped sample; the sample itself if no row clipped
 
 
 def init_state(w_start) -> OptimizerState:
@@ -145,28 +156,37 @@ def init_state(w_start) -> OptimizerState:
 
 
 def clipped_momentum_step(state: OptimizerState, sample, hp: HyperParams,
-                          space: NormedSpace,
-                          lr: float) -> tuple[OptimizerState, StepInfo]:
+                          space: NormedSpace, lr: float,
+                          out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+                          ) -> tuple[OptimizerState, StepInfo]:
     """One normalized momentum step of length ``lr`` on ``sample``, a
     stochastic gradient the caller drew at its query point: ``state.w``, or
     ``extrapolation_point(state, hp.beta)``.
 
     The step acts on the last axis, so a state and sample of shape
     ``(B, dim)`` step B runs at once, each row with the bits it gets on its
-    own; ``sample_norm`` is then one norm per row."""
+    own.  One dot product over the whole input settles that no row leaves
+    the dual tau-ball (see ``NormedSpace.inside_dual_ball``), and then no norm
+    is computed; otherwise each row's dual norm decides its clip.  Given
+    ``out``, a pair of arrays, w_{t+1} and m_t are written into them, with
+    the bits they get without it."""
     sample = np.asarray(sample, dtype=float)
-    sample_norm = space.dual_norm(sample)
-    clipped = sample_norm > hp.tau  # a bool for one vector, an array for a batch
     g_clip = sample
-    if clipped is True or isinstance(clipped, np.ndarray) and clipped.any():
-        # a clipped row is sample * (tau / norm), as in space.clip_dual; the
-        # others are scaled by tau / tau = 1, which keeps their bits, and no
-        # row divides by a norm of 0
-        scale = hp.tau / np.where(clipped, sample_norm, hp.tau)
-        g_clip = sample * np.expand_dims(scale, -1)
-    m = hp.beta * state.m + (1.0 - hp.beta) * g_clip
-    w_next = state.w - lr * space.duality_map(m)
-    return OptimizerState(w_next, state.w, m), StepInfo(sample_norm, g_clip)
+    if not space.inside_dual_ball(sample, hp.tau):
+        sample_norm = space.dual_norm(sample)
+        clipped = sample_norm > hp.tau  # a bool for one vector, an array for a batch
+        if clipped is True or isinstance(clipped, np.ndarray) and clipped.any():
+            # a clipped row is sample * (tau / norm), as in space.clip_dual;
+            # the others are scaled by tau / tau = 1, which keeps their bits,
+            # and no row divides by a norm of 0
+            scale = hp.tau / np.where(clipped, sample_norm, hp.tau)
+            g_clip = sample * np.expand_dims(scale, -1)
+    w_out, m_out = out
+    # beta m + (1 - beta) g, then w - lr d(m), one rounding per operation
+    m = np.multiply(hp.beta, state.m, m_out)
+    m += (1.0 - hp.beta) * g_clip
+    w_next = np.subtract(state.w, lr * space.duality_map(m), w_out)
+    return OptimizerState(w_next, state.w, m), StepInfo(g_clip)
 
 
 def extrapolation_point(state: OptimizerState, beta: float) -> np.ndarray:

@@ -205,6 +205,23 @@ class NormedSpace:
         """l_r norm of a dual vector (batch)."""
         return _lp_norm(self._check_dim(v), self.dual_exponent)
 
+    def inside_dual_ball(self, v, radius: float) -> bool:
+        """True only if no row of ``v`` has a dual norm, as ``dual_norm``
+        computes it, above ``radius``; False leaves it undecided.
+
+        One dot product decides it: the dual exponent is r >= 2 (the primal
+        one is at most 2), so ||v||_r <= ||v||_2.  On at most
+        ``_LEAN_BATCH`` elements the dot product and the norms are each
+        within about 1e-12 of the exact values (a square or sum below the
+        smallest normal float adds at most 2^-1062 in all, under 2^-40 of a
+        bound that is itself a normal float), so a margin of 1e-9 on the
+        squared radius covers both.  A NaN fails the test, and so does a
+        radius whose square is not a finite normal float."""
+        v = self._check_dim(v)
+        bound = radius * radius * (1.0 - 1e-9)
+        return (v.size <= _LEAN_BATCH and _TINY <= bound <= _HUGE
+                and np.vdot(v, v) <= bound)
+
     def pairing(self, v, w) -> np.ndarray | float:
         """Application <v, w> of a dual vector to a primal vector."""
         v = self._check_dim(v)

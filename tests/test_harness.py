@@ -24,6 +24,7 @@ from tailopt.harness import (_BLOCK, CSV_HEADER, BurnInCompareResult,
 from tailopt.optimizers import (clipped_momentum_step, extrapolation_point,
                                 init_state, recommend_output)
 from tailopt.problems import HeavyTailNoise
+from tailopt.spaces import NormedSpace
 
 
 def small_config(**kw):
@@ -109,17 +110,17 @@ def _per_step_reference(exp, seed):
             query = extrapolation_point(state, hp.beta)
         else:
             query = w_t
-        state, info = clipped_momentum_step(
-            state, noise.sample(problem, space, query, rng), hp, space,
-            lr=exp.lr_seq[t])
+        sample = noise.sample(problem, space, query, rng)
+        state, info = clipped_momentum_step(state, sample, hp, space,
+                                            lr=exp.lr_seq[t])
         query_grad = problem.gradient(query)
         for name, value in (("objective", problem.value(w_t)),
                             ("grad_norm", space.dual_norm(grad_t)),
                             ("m_norm", space.dual_norm(state.m)),
                             ("eps_hat", space.dual_norm(state.m - grad_t)),
                             ("eps", space.dual_norm(info.g_clip - query_grad)),
-                            ("clipped", info.sample_norm > hp.tau),
-                            ("sample_norm", info.sample_norm),
+                            ("clipped", space.dual_norm(sample) > hp.tau),
+                            ("sample_norm", space.dual_norm(sample)),
                             ("clip_norm", space.dual_norm(info.g_clip)),
                             ("step_len", space.primal_norm(state.w - w_t)),
                             ("w_norm", space.primal_norm(w_t))):
@@ -176,6 +177,38 @@ def test_step_loop_draws_noise_once_per_block(monkeypatch, algorithm):
     assert blocks == [(_BLOCK, 1), (_BLOCK, 1), (5, 1)]  # ceil(T / _BLOCK) draws
 
 
+@pytest.mark.parametrize("algorithm", ["nsgd", "nigt"])
+def test_step_loop_computes_norms_per_block(monkeypatch, algorithm):
+    # one duality map per step, the update itself; the dual norms come in
+    # batched calls per block (the block's noise draw and its diagnostics),
+    # and one per step only where the dot product left the clip undecided
+    T = 2 * _BLOCK + 5
+    exp = build_experiment(small_config(algorithm=algorithm, T=T, noise_scale=3.0,
+                                       b=20.0))
+    calls = {"dual_norm": [], "duality_map": []}
+    for name in calls:
+        def spy(self, v, fn=getattr(NormedSpace, name), seen=calls[name]):
+            seen.append(np.ndim(v))
+            return fn(self, v)
+        monkeypatch.setattr(NormedSpace, name, spy)
+    decisions = []
+
+    def decided(self, v, radius, fn=NormedSpace.inside_dual_ball):
+        decisions.append(fn(self, v, radius))
+        return decisions[-1]
+
+    monkeypatch.setattr(NormedSpace, "inside_dual_ball", decided)
+    traj = run_trajectory(exp, 3)
+    blocks = -(-T // _BLOCK)
+    undecided = decisions.count(False)
+    assert len(decisions) == T and 0 < undecided <= T // 20
+    assert calls["duality_map"] == [1] * T  # one map of one 1-D momentum a step
+    per_step = [d for d in calls["dual_norm"] if d == 1]
+    assert len(per_step) == undecided
+    assert len(calls["dual_norm"]) - undecided <= 8 * blocks
+    assert traj.clipped.sum() <= undecided
+
+
 def test_tau_fault_injection_detected():
     # run with a halved clip threshold; the momentum-ball invariant against
     # the intended hyperparameters still passes, tau-consistency must fail
@@ -200,8 +233,8 @@ def test_tau_consistency_checks_the_clip_the_step_made(monkeypatch, step_tau):
     step_hp = replace(exp.hp, grad_bound=step_tau * exp.hp.grad_bound,
                       tau=step_tau * exp.hp.tau)
 
-    def faulty_step(state, sample, hp, space, lr):
-        return clipped_momentum_step(state, sample, step_hp, space, lr)
+    def faulty_step(state, sample, hp, space, lr, out=(None, None)):
+        return clipped_momentum_step(state, sample, step_hp, space, lr, out)
 
     monkeypatch.setattr("tailopt.harness.clipped_momentum_step", faulty_step)
     traj = run_trajectory(exp, 3)

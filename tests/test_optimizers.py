@@ -64,8 +64,8 @@ def test_step_plain_normalized_sgd():
     g = np.array([3.0, 4.0])
     state2, info = clipped_momentum_step(state, g, hp, sp, hp.lr)
     np.testing.assert_allclose(state2.w, [1.0 - 0.5 * 0.6, 1.0 - 0.5 * 0.8], rtol=1e-15)
-    assert info.sample_norm == 5.0 <= hp.tau  # not clipped
-    np.testing.assert_array_equal(info.g_clip, g)
+    assert sp.dual_norm(g) == 5.0 <= hp.tau  # not clipped
+    assert info.g_clip is g
     np.testing.assert_array_equal(state2.w_prev, [1.0, 1.0])
 
 
@@ -97,13 +97,98 @@ def test_step_hand_arithmetic():
     sp = NormedSpace.euclidean(2)
     hp = _hp(beta=0.5, tau=2.0, lr=0.1)
     state = init_state([0.0, 0.0])._replace(m=np.array([1.0, 0.0]))
-    state2, info = clipped_momentum_step(state, np.array([0.0, 3.0]), hp, sp, hp.lr)
+    g = np.array([0.0, 3.0])
+    state2, info = clipped_momentum_step(state, g, hp, sp, hp.lr)
     np.testing.assert_allclose(state2.m, [0.5, 1.0], rtol=1e-15)
     n = math.hypot(0.5, 1.0)
     np.testing.assert_allclose(state2.w, -0.1 * np.array([0.5, 1.0]) / n, rtol=1e-14)
-    assert info.sample_norm == 3.0 > hp.tau  # clipped
-    assert min(info.sample_norm, hp.tau) == 2.0
-    assert sp.dual_norm(info.g_clip) == pytest.approx(2.0)
+    assert sp.dual_norm(g) == 3.0 > hp.tau  # clipped
+    np.testing.assert_array_equal(info.g_clip, [0.0, 2.0])
+    assert sp.dual_norm(info.g_clip) == 2.0
+
+
+_NEAR_TAU = (0, 1, 2)  # the row kinds of _clip_test_rows within 4 ulps of tau
+
+
+def _clip_test_rows(rng, space, tau, n, kinds=range(10)):
+    """n rows of dim space.dim, each of a random kind: a 2-norm or a dual
+    norm, or one component, within 4 ulps of tau either side; zero,
+    subnormal, NaN, infinite or overflowing (the squares pass the largest
+    float); far inside or outside the ball."""
+    dim, eps = space.dim, np.finfo(float).eps
+    scale = tau if math.isfinite(tau) else 1e300
+    rows = np.empty((n, dim))
+    for row, kind in zip(rows, rng.choice(kinds, size=n)):
+        u = rng.standard_normal(dim)
+        ulps = 1.0 + int(rng.integers(-4, 5)) * eps
+        if kind == 0:
+            row[:] = u * (scale / math.sqrt(np.sum(u * u))) * ulps
+        elif kind == 1:
+            row[:] = u * (scale / space.dual_norm(u)) * ulps
+        elif kind == 2:
+            row[:] = 0.0
+            row[rng.integers(dim)] = math.copysign(scale * ulps, u[0])
+        elif kind == 3:
+            row[:] = -0.0
+        elif kind == 4:
+            row[:] = rng.choice([5e-324, -5e-324, 1e-310, -2e-320, 0.0], size=dim)
+        elif kind == 5:
+            row[:] = u
+            row[rng.integers(dim)] = math.nan
+        elif kind == 6:
+            row[:] = u
+            row[rng.integers(dim)] = math.copysign(math.inf, u[0])
+        elif kind == 7:
+            row[:] = u * 1e300
+        else:
+            row[:] = u * scale * 10.0 ** int(rng.integers(-3, 3)) / math.sqrt(dim)
+    return rows
+
+
+def _clip_test_samples(rng, space, tau, shape):
+    """Samples of ``shape``: rows of mixed kinds; every row inside the ball,
+    in the 2-norm too; one row near tau, the others zero (the most a row
+    can have of a batch's dot product); a check without its margin admits
+    about one in 100 to 300 of the rows just above tau."""
+    n = math.prod(shape[:-1])
+    scale = tau if math.isfinite(tau) else 1e300
+    for _ in range(30):
+        yield _clip_test_rows(rng, space, tau, n).reshape(shape)
+    for _ in range(10):
+        yield rng.standard_normal(shape) * (1e-2 * scale / math.sqrt(n * space.dim))
+    for _ in range(150):
+        rows = np.zeros((n, space.dim))
+        rows[rng.integers(n)] = _clip_test_rows(rng, space, tau, 1, _NEAR_TAU)[0]
+        yield rows.reshape(shape)
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5, 1.2], ids=["r2", "r3", "r6"])
+@pytest.mark.parametrize("tau", [3.0, 1e-300, 1e200, math.inf])
+@pytest.mark.parametrize("shape", [(5,), (4096,), (4097,), (3, 5), (4, 1024),
+                                   (17, 241)])
+def test_step_clip_decision_is_the_dual_norm_above_tau(q, tau, shape):
+    # a row is clipped iff its dual norm, as dual_norm computes it for the
+    # row alone, is above tau, and the step feeds the momentum bit for bit
+    # the reference's clipped sample; the sample itself when no row clips.
+    # At tau = 1e-300 the squares of rows near tau underflow; at tau = 1e200
+    # they overflow, and so does tau^2
+    space = NormedSpace(dim=shape[-1], primal_exponent=q)
+    hp = _hp(beta=0.5, tau=tau, lr=0.1, p=1.5)
+    rng = np.random.default_rng([int(1000 * q), shape[-1], len(shape)])
+    for sample in _clip_test_samples(rng, space, tau, shape):
+        rows = sample.reshape(-1, space.dim)
+        norms = np.array([space.dual_norm(row) for row in rows])
+        clipped = norms > tau
+        # clipping an infinite component gives inf * 0 = NaN, as it should
+        with np.errstate(invalid="ignore" if np.isinf(sample).any() else "raise"):
+            expect = [row * (tau / norm) if c else row
+                      for row, norm, c in zip(rows, norms, clipped)]
+            _, info = clipped_momentum_step(init_state(np.zeros(shape)), sample, hp,
+                                            space, hp.lr)
+        assert (info.g_clip is sample) == (not clipped.any())
+        got = info.g_clip.reshape(-1, space.dim)
+        for i, (g, e) in enumerate(zip(got, expect)):
+            assert g.tobytes() == e.tobytes(), (i, norms[i], clipped[i])
 
 
 def test_extrapolation_point_cases():
