@@ -10,12 +10,27 @@ structural invariants of an actual trajectory (including determinism).
 Each check reports its sample count, violation count, and the most
 adverse margin observed; the suite passes only with zero violations
 everywhere.
+
+The suite runs in two lanes, split by generator.  The calling thread
+draws the norm-pair, problem and one-step sections from the suite's
+generator, then hands it to one worker thread for the oracle, majorant,
+s-bound and power-mean sections, and meanwhile runs the sections that draw
+from generators of their own: coverage (``[seed, 0xC0FE]``), the tail
+moments (``[seed, 0x7A11, i]``), truncation (``[seed, 0x7B1A5]``) and the
+trajectory checks (their run seeds).  The rows are those of one serial
+pass, in its order.  The calling thread keeps both sections whose batches
+are large: the norm-pair identities, evaluated a chunk of rows at a time
+over their whole-batch draws, and coverage.  The Monte Carlo draws of the
+worker's sections and of the tail moments are streamed in leaves.
 """
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import math
+import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,9 +111,10 @@ def _spaces(dim):
     return [NormedSpace(dim=dim, primal_exponent=p) for p in SPACE_GRID]
 
 
-def _checked_sizes(sizes: dict | None) -> dict:
+def _checked_inputs(sizes: dict | None, delta: float) -> dict:
     """DEFAULT_SIZES updated by ``sizes``, each key known and each size an
-    integer its check can use; a ValueError names the first that is not."""
+    integer its check can use, with ``delta`` in (0, 1); a ValueError names
+    the first input that is not."""
     sizes = sizes or {}
     for key, size in sizes.items():
         if key not in DEFAULT_SIZES:
@@ -107,6 +123,8 @@ def _checked_sizes(sizes: dict | None) -> dict:
                 or size < _SIZE_FLOORS[key]):
             raise ValueError(f"verify size {key!r} must be an integer >= "
                              f"{_SIZE_FLOORS[key]}, got {size!r}")
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta < 1.0):
+        raise ValueError(f"verify delta must be in (0, 1), got {delta!r}")
     return {**DEFAULT_SIZES, **sizes}
 
 
@@ -144,44 +162,127 @@ def _paired_draw(rng: np.random.Generator, n: int, leaf_rows: int, first, second
 
 def run_verification_suite(seed: int = 0, sizes: dict | None = None,
                            delta: float = 0.1) -> list[CheckResult]:
-    """Every check at ``seed``, sized by DEFAULT_SIZES updated by ``sizes``;
-    an unknown key or a size its check cannot use is a ValueError naming
-    the key."""
-    sz = _checked_sizes(sizes)
-    rng = np.random.default_rng([seed, 0x7E51])
-    results: list[CheckResult] = []
-    dim = 8
+    """Every check at ``seed``, sized by DEFAULT_SIZES updated by ``sizes``,
+    with the coverage checks' bounds stated at confidence ``delta``.  An
+    unknown key, a size its check cannot use or a ``delta`` outside (0, 1)
+    is a ValueError naming it, raised before anything is drawn.
 
-    # --- norm pair identities -------------------------------------------------
+    The checks run in two lanes, split by the generator they draw from.
+    The calling thread draws the norm-pair, problem and one-step sections
+    from the suite's generator ``[seed, 0x7E51]`` and then hands it to one
+    worker thread, which draws the oracle, majorant, s-bound and power-mean
+    sections from it.  Meanwhile the calling thread runs the sections that
+    draw from generators of their own: coverage, the tail moments,
+    truncation and the trajectory checks.  Every generator is drawn in the
+    order of one serial pass, and the results come back in the module's
+    order, so they are those of a serial run, bit for bit.  The worker runs
+    in a copy of the caller's context, so under its ``np.errstate``.  Both
+    lanes are joined before the suite returns or raises, and an error in
+    either surfaces with its own type.
+    """
+    sz = _checked_inputs(sizes, delta)
+    rng = np.random.default_rng([seed, 0x7E51])
+    dim = 8
+    results = _norm_pair_checks(rng, sz, dim)
+    problems = {
+        "cosine_sum": make_problem("cosine_sum", dim, amplitude=1.0),
+        "quadratic": make_problem("quadratic", dim, eig_min=0.5, eig_max=2.0),
+    }
+    e_space = NormedSpace.euclidean(dim)
+    results += _problem_checks(problems, e_space, rng, sz)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="verify") as lane:
+        # from here on only the worker draws from rng
+        shared = lane.submit(contextvars.copy_context().run, _shared_rng_checks,
+                             problems["cosine_sum"], e_space, rng, sz)
+        coverage = _coverage_checks(seed, sz["coverage_trials"], sz["coverage_len"],
+                                    delta)
+        tail = tail_moment_checks(seed, sz["tail_seeds"], sz["tail_n"])
+        truncation = _truncation_check(seed, sz["trunc_trials"])
+        trajectory = _trajectory_checks(seed, sz["smoke_T"])
+        oracle, streams = shared.result()
+    return [*results, *oracle, *tail, *streams, _bound_monotonicity_check(),
+            *coverage, truncation, *trajectory]
+
+
+def _by_rows(fn, *batches) -> np.ndarray:
+    """``fn(*batches)`` for a row-wise ``fn`` of (n, dim) batches, evaluated
+    on ``_LEAF`` values of each batch at a time: a row of ``spaces`` gets
+    the bits of its norm and map in any batch, so each row of the result
+    has the bits of one call on the whole batches, and the call's
+    temporaries are a chunk's, not a batch's."""
+    n, dim = batches[0].shape
+    rows = _LEAF // dim
+    out = None
+    for start in range(0, n, rows):
+        part = fn(*(b[start:start + rows] for b in batches))
+        if out is None:
+            out = np.empty((n, *part.shape[1:]))
+        out[start:start + len(part)] = part
+    return out
+
+
+def _duality_slacks(space: NormedSpace, v) -> np.ndarray:
+    """(unit-norm slack, pairing slack) of the duality map, per row of v."""
+    d = space.duality_map(v)
+    unit_err = np.abs(np.asarray(space.primal_norm(d)) - 1.0)
+    dn = np.asarray(space.dual_norm(v))
+    pair_err = np.abs(np.asarray(space.pairing(v, d)) - dn) / dn
+    return np.column_stack((1e-10 - unit_err, 1e-10 - pair_err))
+
+
+def _clip_slacks(space: NormedSpace, v, tau: float) -> np.ndarray:
+    """(norm-identity slack, the dim idempotence slacks) of clipping each
+    row of v at tau."""
+    c = space.clip_dual(v, tau)
+    norm_err = np.abs(np.asarray(space.dual_norm(c))
+                      - np.minimum(tau, np.asarray(space.dual_norm(v))))
+    cc = space.clip_dual(c, tau)
+    idem = np.abs(cc - c) - 4.0 * np.spacing(np.abs(c))
+    return np.column_stack((1e-12 * tau - norm_err, -idem))
+
+
+def _holder_slack(space: NormedSpace, v, w) -> np.ndarray:
+    return (np.asarray(space.dual_norm(v)) * np.asarray(space.primal_norm(w))
+            - np.asarray(space.pairing(v, w)))
+
+
+def _norm_pair_checks(rng: np.random.Generator, sz: dict,
+                      dim: int) -> list[CheckResult]:
+    """The duality, clip, Hölder and smooth-norm identities of each sweep
+    space, on whole batches drawn from ``rng`` in that order.
+
+    The duality, clip and Hölder identities are evaluated a chunk of rows
+    at a time (``_by_rows``), and each identity frees its batches before
+    the next is drawn, so the section holds one identity's batches, its
+    slacks and a chunk's temporaries.
+    """
+    results = []
     for space in _spaces(dim):
         tag = f"p={space.primal_exponent:g}"
         n = sz["duality"]
-        v = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
-        d = space.duality_map(v)
-        unit_err = np.abs(np.asarray(space.primal_norm(d)) - 1.0)
-        dn = np.asarray(space.dual_norm(v))
-        pair_err = np.abs(np.asarray(space.pairing(v, d)) - dn) / dn
-        results.append(_slack_check(f"duality_unit_norm[{tag}]", 1e-10 - unit_err, 0.0))
-        results.append(_slack_check(f"duality_pairing[{tag}]", 1e-10 - pair_err, 0.0))
+        v = rng.standard_normal((n, dim))
+        v *= rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        slack = _by_rows(lambda v: _duality_slacks(space, v), v)
+        results.append(_slack_check(f"duality_unit_norm[{tag}]", slack[:, 0], 0.0))
+        results.append(_slack_check(f"duality_pairing[{tag}]", slack[:, 1], 0.0))
+        del v, slack
 
         n = sz["clip"]
-        v = rng.standard_normal((n, dim)) * rng.lognormal(0, 3, size=(n, 1))
+        v = rng.standard_normal((n, dim))
+        v *= rng.lognormal(0, 3, size=(n, 1))
         tau = 1.7
-        c = space.clip_dual(v, tau)
-        norm_err = np.abs(np.asarray(space.dual_norm(c))
-                          - np.minimum(tau, np.asarray(space.dual_norm(v))))
-        results.append(_slack_check(
-            f"clip_norm_identity[{tag}]", 1e-12 * tau - norm_err, 0.0))
-        cc = space.clip_dual(c, tau)
-        idem = np.abs(cc - c) - 4.0 * np.spacing(np.abs(c))
-        results.append(_slack_check(f"clip_idempotent[{tag}]", -idem.ravel(), 0.0))
+        slack = _by_rows(lambda v: _clip_slacks(space, v, tau), v)
+        results.append(_slack_check(f"clip_norm_identity[{tag}]", slack[:, 0], 0.0))
+        results.append(_slack_check(f"clip_idempotent[{tag}]", slack[:, 1:], 0.0))
+        del v, slack
 
         n = sz["holder"]
         v = rng.standard_normal((n, dim))
         w = rng.standard_normal((n, dim))
-        holder = (np.asarray(space.dual_norm(v)) * np.asarray(space.primal_norm(w))
-                  - np.asarray(space.pairing(v, w)))
-        results.append(_slack_check(f"holder[{tag}]", holder, 1e-9))
+        results.append(_slack_check(
+            f"holder[{tag}]", _by_rows(lambda v, w: _holder_slack(space, v, w), v, w),
+            1e-9))
+        del v, w
 
         n = sz["smooth_norm"]
         x = rng.standard_normal((n, dim))
@@ -189,13 +290,16 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
         results.append(_slack_check(
             f"smooth_norm[{tag}]", space.smooth_norm_gap(x, y), 1e-9,
             note=f"C={space.smooth_constant:g}"))
+    return results
 
-    # --- problems -------------------------------------------------------------
-    problems = {
-        "cosine_sum": make_problem("cosine_sum", dim, amplitude=1.0),
-        "quadratic": make_problem("quadratic", dim, eig_min=0.5, eig_max=2.0),
-    }
-    e_space = NormedSpace.euclidean(dim)
+
+def _problem_checks(problems: dict, e_space: NormedSpace, rng: np.random.Generator,
+                    sz: dict) -> list[CheckResult]:
+    """Smoothness, second-order and finite-difference checks of each
+    problem, then one-step descent on the cosine sum in two spaces, drawn
+    from ``rng`` in that order."""
+    results = []
+    dim = e_space.dim
     for kind, prob in problems.items():
         n = sz["problem_smooth"]
         x = rng.standard_normal((n, dim)) * 3.0
@@ -234,15 +338,18 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
         results.append(_slack_check(
             f"one_step_descent[p={space.primal_exponent:g}]",
             descent_step_gap(prob, w, g_star, lr, space), 1e-9))
+    return results
 
-    # --- oracle moments ---------------------------------------------------------
-    results.extend(oracle_moment_checks(prob, e_space, rng, sz["unbias_n"],
-                                        sz["moment_n"]))
-    results.extend(tail_moment_checks(seed, sz["tail_seeds"], sz["tail_n"]))
 
-    # --- scalar reduction and power means --------------------------------------
-    stream_spaces = [NormedSpace.euclidean(4), NormedSpace(dim=4, primal_exponent=1.5)]
-    for space in stream_spaces:
+def _shared_rng_checks(prob, e_space: NormedSpace, rng: np.random.Generator,
+                       sz: dict) -> tuple[list[CheckResult], list[CheckResult]]:
+    """The sections that draw from the suite's generator after the problem
+    checks, in order: the oracle moments, the majorant and s-bound checks
+    of each stream space, and the power means.  Returns (the oracle rows,
+    the rest)."""
+    oracle = oracle_moment_checks(prob, e_space, rng, sz["unbias_n"], sz["moment_n"])
+    results = []
+    for space in (NormedSpace.euclidean(4), NormedSpace(dim=4, primal_exponent=1.5)):
         tag = f"dual_r={space.dual_exponent:g}"
         results.extend(majorant_checks(space, rng, sz["majorant_streams"]))
         n_draws = sz["s_bound_draws"]
@@ -263,8 +370,12 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
         worst = min(worst, float(np.min(conc.power_mean_check(xs, lo, hi))))
     results.append(CheckResult("power_mean", n, int(worst < -1e-12), worst,
                                worst >= -1e-12))
+    return oracle, results
 
-    # --- bound monotonicity -----------------------------------------------------
+
+def _bound_monotonicity_check() -> CheckResult:
+    """The Freedman bounds grow with the radius and shrink with delta, and
+    the truncated-sum bounds grow with the moment bound, on fixed grids."""
     sig = np.ones(20)
     grids_ok = True
     rs = np.linspace(0.1, 4.0, 7)
@@ -282,11 +393,14 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
             delta=0.1, smooth_constant=2.0), variant)
             for g in np.linspace(0.5, 4.0, 7)]
         grids_ok &= bool(np.all(np.diff(vals) >= 0))
-    results.append(CheckResult("bound_monotonicity", 7 * 7 * 3 * 2 + 14,
-                               int(not grids_ok), 0.0, grids_ok))
+    return CheckResult("bound_monotonicity", 7 * 7 * 3 * 2 + 14,
+                       int(not grids_ok), 0.0, grids_ok)
 
-    # --- coverage ----------------------------------------------------------------
-    trials, length = sz["coverage_trials"], sz["coverage_len"]
+
+def _coverage_checks(seed: int, trials: int, length: int,
+                     delta: float) -> list[CheckResult]:
+    """The coverage rows at confidence delta, drawn from ``[seed, 0xC0FE]``."""
+    results = []
     cov_rng = np.random.default_rng([seed, 0xC0FE])
     for name, level, res in coverage_rows(trials, length, delta, cov_rng):
         # a bound at level 1-d is allowed d*trials misses; the violation is
@@ -299,22 +413,30 @@ def run_verification_suite(seed: int = 0, sizes: dict | None = None,
             note=f"stated>={level:g}, misses={trials - res.successes}, "
                  f"ci=({res.ci_low:.4f},{res.ci_high:.4f}); false alarm "
                  f"<= 0.025 (one-sided Clopper-Pearson), above the 1e-4 target"))
+    return results
 
-    # --- truncation bias/variance -------------------------------------------------
-    rows = truncation_rows(np.random.default_rng([seed, 0x7B1A5]), sz["trunc_trials"])
+
+def _truncation_check(seed: int, trials: int) -> CheckResult:
+    """Truncation bias and variance against their bounds, drawn from
+    ``[seed, 0x7B1A5]``."""
+    rows = truncation_rows(np.random.default_rng([seed, 0x7B1A5]), trials)
     worst_margin = min(margin for *_, margin in rows)
     # a tight bound fails when its estimate lies 3 standard errors above
     # it: the bias, a 1-D norm, two-sided, the variance one-sided
     false_alarm = len(rows) * 1.5 * math.erfc(3.0 / math.sqrt(2.0))
-    results.append(CheckResult("truncation_bias_variance", len(rows) * sz["trunc_trials"],
-                               int(worst_margin < 0), worst_margin, worst_margin >= 0,
-                               note=f"bias and variance within 3 s.e. of their bounds "
-                                    f"at {len(rows)} thresholds; false alarm <= "
-                                    f"{false_alarm:.2g} (normal approx), above the "
-                                    f"1e-4 target"))
+    return CheckResult("truncation_bias_variance", len(rows) * trials,
+                       int(worst_margin < 0), worst_margin, worst_margin >= 0,
+                       note=f"bias and variance within 3 s.e. of their bounds "
+                            f"at {len(rows)} thresholds; false alarm <= "
+                            f"{false_alarm:.2g} (normal approx), above the "
+                            f"1e-4 target")
 
-    # --- trajectory invariants -----------------------------------------------------
-    cfg = RunConfig(T=sz["smoke_T"], seed=seed, p_moment=1.5, tail_index=1.8,
+
+def _trajectory_checks(seed: int, T: int) -> list[CheckResult]:
+    """The structural invariants and determinism of a T-step trajectory at
+    ``seed``, and nigt reducing to nsgd at beta = 0 on a shared stream."""
+    results = []
+    cfg = RunConfig(T=T, seed=seed, p_moment=1.5, tail_index=1.8,
                     calib_samples=10_000)
     exp = build_experiment(cfg)
     traj = run_trajectory(exp, seed)

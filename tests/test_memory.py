@@ -1,4 +1,4 @@
-"""Peak memory of the large draws behind ``verify``, of the seed batches
+"""Peak memory of the large draws and batches behind ``verify``, of the seed batches
 of the run-family commands and of their stepper, and of the trajectory
 writer, as traced by tracemalloc.
 
@@ -19,7 +19,8 @@ from tailopt.harness import (_BLOCK, _RECORDED, CSV_HEADER, RunConfig, _row_form
                              rate_sweep, run, run_trajectory, write_trajectory_csv)
 from tailopt.problems import make_problem, pareto_radii
 from tailopt.spaces import NormedSpace
-from tailopt.verify import (_LEAF, majorant_checks, oracle_moment_checks,
+from tailopt.verify import (_LEAF, DEFAULT_SIZES, _norm_pair_checks,
+                            majorant_checks, oracle_moment_checks,
                             tail_moment_checks)
 
 
@@ -61,6 +62,24 @@ def test_streamed_checks_hold_a_few_leaves(check):
     for n in (10**6, 4 * 10**6):
         _, peak = _traced_peak(lambda: STREAMED[check](n))
         assert peak <= 5 * 8 * _LEAF, (n, peak / (8 * _LEAF))
+
+
+@pytest.mark.parametrize("n", [10**5, 4 * 10**5])
+def test_the_norm_pair_checks_hold_one_batch_and_a_few_chunks(n):
+    # each identity draws its batches whole and frees them before the next
+    # identity draws.  The largest draw is the duality batch: n rows of dim
+    # normals and their n scales.  Its identity holds the batch, scaled in
+    # place, its two slacks and their masks, under twice the bytes drawn,
+    # and evaluates the rows a chunk of _LEAF values at a time, with under
+    # 8 chunks of temporaries.  A whole-batch evaluation holds several
+    # batch-sized temporaries: the norm-pair and problem sections peaked at
+    # 52.7 MB at n = 1e5
+    dim = 8
+    checks, peak = _traced_peak(lambda: _norm_pair_checks(
+        np.random.default_rng(0), {**DEFAULT_SIZES, "duality": n}, dim))
+    drawn, chunk = n * (dim + 1) * 8, _LEAF * 8
+    assert len(checks) == 18 and all(c.passed for c in checks)
+    assert peak <= 2 * drawn + 8 * chunk, (peak - 2 * drawn) / chunk
 
 
 def test_tail_moment_checks_match_the_per_stream_powers():

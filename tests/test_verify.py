@@ -1,16 +1,21 @@
 """The statistical checks of the ``verify`` suite: false alarms and power,
-its size validation, and the leaf-streamed draws behind its largest checks."""
+its input validation, its two lanes, and the leaf-streamed draws and
+row chunks behind its largest checks."""
 
 import math
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from tailopt import concentration as conc
+from tailopt import verify
 from tailopt.problems import HeavyTailNoise, make_problem, pareto_radii
 from tailopt.spaces import NormedSpace
-from tailopt.verify import (_LEAF, _SIZE_FLOORS, _paired_draw, _pairwise_sum,
-                            majorant_checks, oracle_moment_checks,
+from tailopt.verify import (_LEAF, _SIZE_FLOORS, _by_rows, _clip_slacks,
+                            _duality_slacks, _holder_slack, _paired_draw,
+                            _pairwise_sum, majorant_checks, oracle_moment_checks,
                             run_verification_suite, tail_moment_checks)
 
 
@@ -56,18 +61,126 @@ def test_oracle_unbiased_fails_on_a_biased_oracle(monkeypatch, seed):
     assert not oracle_check().passed
 
 
+@pytest.fixture
+def nothing_started(monkeypatch):
+    """Fail the test if the suite makes a generator or starts its worker."""
+    def started(*args, **kwargs):
+        raise AssertionError("started after a refused input")
+
+    monkeypatch.setattr(verify.np.random, "default_rng", started)
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", started)
+
+
 @pytest.mark.parametrize("key, size", [
     ("tail_n", 5), ("moment_n", 0), ("majorant_streams", 0), ("duality", 0),
     ("power_mean", 10), ("coverage_trials", 0), ("tail_seeds", 0),
     ("fd_points", 0), ("trunc_trials", 99_999), ("smoke_T", 2.5),
     ("unbias_n", True), ("tail_nn", 10_000)])
-def test_unusable_sizes_are_refused_by_name(key, size):
+def test_unusable_sizes_are_refused_by_name(nothing_started, key, size):
     with pytest.raises(ValueError, match=key):
         run_verification_suite(sizes={key: size})
 
 
+@pytest.mark.parametrize("delta", [2.0, 1.0, 0.0, -0.1, math.nan, "0.1"])
+def test_a_delta_outside_0_1_is_refused_by_name(nothing_started, delta):
+    # delta = 2 used to draw for seconds and then fail in the coverage section
+    with pytest.raises(ValueError, match="delta"):
+        run_verification_suite(delta=delta)
+
+
 def test_every_check_runs_at_its_smallest_size():
     assert len(run_verification_suite(sizes=_SIZE_FLOORS)) == 53
+
+
+class _InlineExecutor:
+    """The executor's interface, running each call as it is submitted."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap verify's ``name`` so each call appends ``record()`` to a list."""
+    calls, fn = [], getattr(verify, name)
+
+    def spied(*args, **kwargs):
+        calls.append(record())
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, spied)
+    return calls
+
+
+def _on_main_thread():
+    return threading.current_thread() is threading.main_thread()
+
+
+def _rows_and_notes(seed):
+    return [(c.row(), c.note) for c in run_verification_suite(seed, _SIZE_FLOORS)]
+
+
+def test_the_lanes_give_the_serial_rows(monkeypatch):
+    # the worker lane draws the suite's generator after the main lane has
+    # handed it over; run inline, both lanes run on one thread, one after
+    # the other.  The main lane keeps the large-memory coverage section
+    majorant_on_main = _spy(monkeypatch, "majorant_checks", _on_main_thread)
+    coverage_on_main = _spy(monkeypatch, "coverage_rows", _on_main_thread)
+    lanes = [_rows_and_notes(seed) for seed in range(3)]
+    assert majorant_on_main == [False] * 6 and coverage_on_main == [True] * 3
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", _InlineExecutor)
+    assert lanes == [_rows_and_notes(seed) for seed in range(3)]
+
+
+class _SectionError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("section", ["majorant_checks", "coverage_rows"])
+def test_an_error_in_either_lane_surfaces_after_both_are_joined(monkeypatch, section):
+    def fail(*args):
+        raise _SectionError(section)
+
+    monkeypatch.setattr(verify, section, fail)
+    threads = threading.active_count()
+    with pytest.raises(_SectionError, match=section):
+        run_verification_suite(sizes=_SIZE_FLOORS)
+    assert threading.active_count() == threads
+
+
+def test_the_worker_lane_runs_under_the_callers_errstate(monkeypatch):
+    seen = _spy(monkeypatch, "majorant_checks", np.geterr)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        caller = np.geterr()
+        run_verification_suite(sizes=_SIZE_FLOORS)
+    assert caller != np.geterr() and seen == [caller] * 2
+
+
+@pytest.mark.parametrize("p", verify.SPACE_GRID)
+def test_row_chunks_have_the_bits_of_the_whole_batch(p):
+    # two whole chunks and a last one of 3 rows, 24 values, which takes the
+    # lean Euclidean path; rows of every scale, some clipped, some not
+    space, rows = NormedSpace(dim=8, primal_exponent=p), _LEAF // 8
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((2 * rows + 3, 8)) * rng.lognormal(0, 3, (2 * rows + 3, 1))
+    w = rng.standard_normal(v.shape)
+    for fn, batches in ((lambda v: _duality_slacks(space, v), (v,)),
+                        (lambda v: _clip_slacks(space, v, 1.7), (v,)),
+                        (lambda v, w: _holder_slack(space, v, w), (v, w))):
+        assert np.array_equal(_by_rows(fn, *batches), fn(*batches))
 
 
 def _stream(values):
