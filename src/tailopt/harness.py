@@ -417,11 +417,12 @@ def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
     The step loop runs only what the next step depends on: the query point
     (w_t, or nigt's extrapolated x_t); the gradient there, kept per row,
     plus the step's noise row, which becomes the sample in place; and one
-    ``clipped_momentum_step``, which writes w_{t+1} and m_t into the block's
-    buffers.  A clipped sample is kept only on a step that clipped.  A block
-    holds at most ``_BLOCK`` seed-steps.  Before its steps, one
-    ``noise.draw_steps`` call draws the block's oracle noise of every seed,
-    each from its own generator and from the same stream as one
+    ``clipped_momentum_step``, which clips it (``NormedSpace.clip_dual``)
+    and writes w_{t+1} and m_t into the block's buffers.  The clipped sample
+    it returns is kept only on a step that clipped, where it is not the
+    sample.  A block holds at most ``_BLOCK`` seed-steps.  Before its steps,
+    one ``noise.draw_steps`` call draws the block's oracle noise of every
+    seed, each from its own generator and from the same stream as one
     ``noise.sample`` call per step, and the block's slice of the schedule
     becomes Python floats.  After them, the objective, the gradient norm,
     the momentum norm and error, the sample error, the raw and clipped
@@ -456,10 +457,10 @@ def _step_seeds(exp: Experiment, seeds) -> dict[str, np.ndarray]:
             query = extrapolation_point(state, hp.beta) if nigt else state.w
             qg[...] = problem.gradient(query)
             np.add(qg, sample, sample)
-            state, info = clipped_momentum_step(state, sample, hp, space, lr,
-                                                (w_next, m_t))
-            if info.g_clip is not sample:
-                clips.append((i, info.g_clip))
+            state, g_clip = clipped_momentum_step(state, sample, hp, space, lr,
+                                                  (w_next, m_t))
+            if g_clip is not sample:
+                clips.append((i, g_clip))
         block, w, m = slice(start, start + n), w_buf[:n], m_buf[:n]
         query_grad = qg_buf[:n]
         g = samples

@@ -14,14 +14,13 @@ for the second-order method (nigt), which cancels the Hessian-level
 momentum bias on second-order-smooth objectives.  At beta = 0 the two
 query points coincide, and so do the methods step for step.
 
-A step does only what the update needs.  Whether the sample leaves the
-dual tau-ball is settled by one dot product (every dual norm here is l_r
-with r >= 2, so ||g||_r <= ||g||_2); only a sample near or above tau, or
-one that is not finite, has its dual norm computed, and that norm decides
-the clip.  The step can write m_t and w_{t+1} into the caller's arrays.
-It records no norms: a caller that wants them (the sample's dual norm,
-whose excess over tau is the clip flag, among them) computes them from
-the samples, many steps at once.
+A step does only what the update needs.  It clips through
+``NormedSpace.clip_dual``, the one clip of a dual vector, which settles
+most samples inside the tau-ball with one dot product and computes a dual
+norm only for the rest.  The step can write m_t and w_{t+1} into the
+caller's arrays.  It records no norms: a caller that wants them (the
+sample's dual norm, whose excess over tau is the clip flag, among them)
+computes them from the samples, many steps at once.
 
 ``schedule`` pins alpha, lr and tau to the horizon:
 
@@ -50,7 +49,6 @@ from tailopt.spaces import NormedSpace
 __all__ = [
     "HyperParams",
     "OptimizerState",
-    "StepInfo",
     "BurnInCertificate",
     "schedule",
     "schedule_exponents",
@@ -134,20 +132,12 @@ def schedule(horizon: int, p_moment: float, grad_bound: float, delta: float,
                        lr=lr, tau=tau)
 
 
-# Named tuples rather than frozen dataclasses: both are immutable, and a
-# tuple is built in about a third of the time, once per step each.
+# A named tuple rather than a frozen dataclass: both are immutable, and a
+# tuple is built in about a third of the time, once per step.
 class OptimizerState(NamedTuple):
     w: np.ndarray       # current iterate
     w_prev: np.ndarray  # previous iterate (equals w before the first step)
     m: np.ndarray       # momentum, a dual vector
-
-
-class StepInfo(NamedTuple):
-    """What a step made that its caller cannot derive from the new state and
-    the sample: the sample it fed into the momentum.  Norms, the clip flag
-    among them (the sample's dual norm above tau), are left to the caller."""
-
-    g_clip: np.ndarray   # the clipped sample; the sample itself if no row clipped
 
 
 def init_state(w_start) -> OptimizerState:
@@ -158,35 +148,24 @@ def init_state(w_start) -> OptimizerState:
 def clipped_momentum_step(state: OptimizerState, sample, hp: HyperParams,
                           space: NormedSpace, lr: float,
                           out: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-                          ) -> tuple[OptimizerState, StepInfo]:
+                          ) -> tuple[OptimizerState, np.ndarray]:
     """One normalized momentum step of length ``lr`` on ``sample``, a
     stochastic gradient the caller drew at its query point: ``state.w``, or
-    ``extrapolation_point(state, hp.beta)``.
+    ``extrapolation_point(state, hp.beta)``.  Returns the new state and
+    ``g_clip = space.clip_dual(sample, hp.tau)``, the sample fed into the
+    momentum: the sample itself if no row clipped.
 
     The step acts on the last axis, so a state and sample of shape
     ``(B, dim)`` step B runs at once, each row with the bits it gets on its
-    own.  One dot product over the whole input settles that no row leaves
-    the dual tau-ball (see ``NormedSpace.inside_dual_ball``), and then no norm
-    is computed; otherwise each row's dual norm decides its clip.  Given
-    ``out``, a pair of arrays, w_{t+1} and m_t are written into them, with
-    the bits they get without it."""
-    sample = np.asarray(sample, dtype=float)
-    g_clip = sample
-    if not space.inside_dual_ball(sample, hp.tau):
-        sample_norm = space.dual_norm(sample)
-        clipped = sample_norm > hp.tau  # a bool for one vector, an array for a batch
-        if clipped is True or isinstance(clipped, np.ndarray) and clipped.any():
-            # a clipped row is sample * (tau / norm), as in space.clip_dual;
-            # the others are scaled by tau / tau = 1, which keeps their bits,
-            # and no row divides by a norm of 0
-            scale = hp.tau / np.where(clipped, sample_norm, hp.tau)
-            g_clip = sample * np.expand_dims(scale, -1)
+    own.  Given ``out``, a pair of arrays, w_{t+1} and m_t are written into
+    them, with the bits they get without it."""
+    g_clip = space.clip_dual(sample, hp.tau)
     w_out, m_out = out
     # beta m + (1 - beta) g, then w - lr d(m), one rounding per operation
     m = np.multiply(hp.beta, state.m, m_out)
     m += (1.0 - hp.beta) * g_clip
     w_next = np.subtract(state.w, lr * space.duality_map(m), w_out)
-    return OptimizerState(w_next, state.w, m), StepInfo(g_clip)
+    return OptimizerState(w_next, state.w, m), g_clip
 
 
 def extrapolation_point(state: OptimizerState, beta: float) -> np.ndarray:

@@ -19,6 +19,10 @@ norm away from 0, so grad ||x||_r^2 = 2 ||x||_r d(x): the one derivative
 the smoothness inequality and the scalar reduction of ``concentration``
 need.
 
+``clip_dual`` is the one clip of a dual vector, the optimizer's included:
+a row with dual norm above the threshold is rescaled onto it, and the
+others keep their bits, or v itself is returned when no row clips.
+
 All vector operations accept arrays of shape ``(..., dim)`` and act on
 the last axis, returning scalars for single vectors and arrays for
 batches.  Norms factor out the largest component magnitude before
@@ -205,23 +209,6 @@ class NormedSpace:
         """l_r norm of a dual vector (batch)."""
         return _lp_norm(self._check_dim(v), self.dual_exponent)
 
-    def inside_dual_ball(self, v, radius: float) -> bool:
-        """True only if no row of ``v`` has a dual norm, as ``dual_norm``
-        computes it, above ``radius``; False leaves it undecided.
-
-        One dot product decides it: the dual exponent is r >= 2 (the primal
-        one is at most 2), so ||v||_r <= ||v||_2.  On at most
-        ``_LEAN_BATCH`` elements the dot product and the norms are each
-        within about 1e-12 of the exact values (a square or sum below the
-        smallest normal float adds at most 2^-1062 in all, under 2^-40 of a
-        bound that is itself a normal float), so a margin of 1e-9 on the
-        squared radius covers both.  A NaN fails the test, and so does a
-        radius whose square is not a finite normal float."""
-        v = self._check_dim(v)
-        bound = radius * radius * (1.0 - 1e-9)
-        return (v.size <= _LEAN_BATCH and _TINY <= bound <= _HUGE
-                and np.vdot(v, v) <= bound)
-
     def pairing(self, v, w) -> np.ndarray | float:
         """Application <v, w> of a dual vector to a primal vector."""
         v = self._check_dim(v)
@@ -262,16 +249,36 @@ class NormedSpace:
         return _factored_map(v, r)
 
     def clip_dual(self, v, threshold: float) -> np.ndarray:
-        """Rescale v to dual norm at most ``threshold``, keeping direction.
+        """Rescale each row of v to dual norm at most ``threshold``, keeping
+        its direction; v itself if no row has a dual norm, as ``dual_norm``
+        computes it, above the threshold.
 
-        Vectors already inside the threshold ball are returned unchanged.
+        A clipped row is v * (threshold / norm); every other row keeps its
+        bits.  One dot product usually settles that no row clips, and then
+        no norm is computed: the dual exponent is r >= 2 (the primal one is
+        at most 2), so ||v||_r <= ||v||_2.  On at most ``_LEAN_BATCH``
+        elements the dot product and the norms are each within about 1e-12
+        of the exact values (a square or sum below the smallest normal float
+        adds at most 2^-1062 in all, under 2^-40 of a bound that is itself a
+        normal float), so a margin of 1e-9 on the squared threshold covers
+        both.  A NaN leaves it undecided, and so does a threshold whose
+        square is not a finite normal float; then each row's dual norm
+        decides.
         """
         if not threshold > 0.0:
             raise ValueError(f"clip threshold must be positive, got {threshold}")
         v = self._check_dim(v)
-        n = np.asarray(self.dual_norm(v))[..., np.newaxis]
-        scale = np.where(n > threshold, threshold / np.where(n > 0.0, n, 1.0), 1.0)
-        return v * scale
+        bound = threshold * threshold * (1.0 - 1e-9)
+        if (v.size <= _LEAN_BATCH and _TINY <= bound <= _HUGE
+                and np.vdot(v, v) <= bound):
+            return v
+        n = self.dual_norm(v)
+        clipped = n > threshold  # a bool for one vector, an array for a batch
+        if not (clipped if v.ndim == 1 else clipped.any()):
+            return v
+        # the other rows are scaled by threshold / threshold = 1, which keeps
+        # their bits, and no row divides by a norm at or below the threshold
+        return v * np.expand_dims(threshold / np.where(clipped, n, threshold), -1)
 
     def smooth_norm_gap(self, x, y) -> np.ndarray | float:
         """Slack of the 2-smoothness inequality of the dual norm at (x, y).

@@ -111,17 +111,17 @@ def _per_step_reference(exp, seed):
         else:
             query = w_t
         sample = noise.sample(problem, space, query, rng)
-        state, info = clipped_momentum_step(state, sample, hp, space,
-                                            lr=exp.lr_seq[t])
+        state, g_clip = clipped_momentum_step(state, sample, hp, space,
+                                              lr=exp.lr_seq[t])
         query_grad = problem.gradient(query)
         for name, value in (("objective", problem.value(w_t)),
                             ("grad_norm", space.dual_norm(grad_t)),
                             ("m_norm", space.dual_norm(state.m)),
                             ("eps_hat", space.dual_norm(state.m - grad_t)),
-                            ("eps", space.dual_norm(info.g_clip - query_grad)),
+                            ("eps", space.dual_norm(g_clip - query_grad)),
                             ("clipped", space.dual_norm(sample) > hp.tau),
                             ("sample_norm", space.dual_norm(sample)),
-                            ("clip_norm", space.dual_norm(info.g_clip)),
+                            ("clip_norm", space.dual_norm(g_clip)),
                             ("step_len", space.primal_norm(state.w - w_t)),
                             ("w_norm", space.primal_norm(w_t))):
             rec[name].append(value)
@@ -179,9 +179,10 @@ def test_step_loop_draws_noise_once_per_block(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["nsgd", "nigt"])
 def test_step_loop_computes_norms_per_block(monkeypatch, algorithm):
-    # one duality map per step, the update itself; the dual norms come in
-    # batched calls per block (the block's noise draw and its diagnostics),
-    # and one per step only where the dot product left the clip undecided
+    # one clip and one duality map per step, the update itself; the dual
+    # norms come in batched calls per block (the block's noise draw and its
+    # diagnostics), and one per step only inside a clip that the dot product
+    # left undecided
     T = 2 * _BLOCK + 5
     exp = build_experiment(small_config(algorithm=algorithm, T=T, noise_scale=3.0,
                                        b=20.0))
@@ -191,17 +192,21 @@ def test_step_loop_computes_norms_per_block(monkeypatch, algorithm):
             seen.append(np.ndim(v))
             return fn(self, v)
         monkeypatch.setattr(NormedSpace, name, spy)
-    decisions = []
+    clips = []  # per clip: whether the dot product settles it, and its dual norms
 
-    def decided(self, v, radius, fn=NormedSpace.inside_dual_ball):
-        decisions.append(fn(self, v, radius))
-        return decisions[-1]
+    def clip(self, v, threshold, fn=NormedSpace.clip_dual):
+        seen = len(calls["dual_norm"])
+        out = fn(self, v, threshold)
+        inside = np.vdot(v, v) <= threshold * threshold * (1.0 - 1e-9)
+        clips.append((inside, calls["dual_norm"][seen:]))
+        return out
 
-    monkeypatch.setattr(NormedSpace, "inside_dual_ball", decided)
+    monkeypatch.setattr(NormedSpace, "clip_dual", clip)
     traj = run_trajectory(exp, 3)
     blocks = -(-T // _BLOCK)
-    undecided = decisions.count(False)
-    assert len(decisions) == T and 0 < undecided <= T // 20
+    undecided = sum(not inside for inside, _ in clips)
+    assert len(clips) == T and 0 < undecided <= T // 20
+    assert all(norms == ([] if inside else [1]) for inside, norms in clips)
     assert calls["duality_map"] == [1] * T  # one map of one 1-D momentum a step
     per_step = [d for d in calls["dual_norm"] if d == 1]
     assert len(per_step) == undecided

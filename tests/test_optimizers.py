@@ -62,10 +62,10 @@ def test_step_plain_normalized_sgd():
     hp = _hp(beta=0.0, tau=10.0, lr=0.5)
     state = init_state([1.0, 1.0])
     g = np.array([3.0, 4.0])
-    state2, info = clipped_momentum_step(state, g, hp, sp, hp.lr)
+    state2, g_clip = clipped_momentum_step(state, g, hp, sp, hp.lr)
     np.testing.assert_allclose(state2.w, [1.0 - 0.5 * 0.6, 1.0 - 0.5 * 0.8], rtol=1e-15)
     assert sp.dual_norm(g) == 5.0 <= hp.tau  # not clipped
-    assert info.g_clip is g
+    assert g_clip is g
     np.testing.assert_array_equal(state2.w_prev, [1.0, 1.0])
 
 
@@ -98,13 +98,13 @@ def test_step_hand_arithmetic():
     hp = _hp(beta=0.5, tau=2.0, lr=0.1)
     state = init_state([0.0, 0.0])._replace(m=np.array([1.0, 0.0]))
     g = np.array([0.0, 3.0])
-    state2, info = clipped_momentum_step(state, g, hp, sp, hp.lr)
+    state2, g_clip = clipped_momentum_step(state, g, hp, sp, hp.lr)
     np.testing.assert_allclose(state2.m, [0.5, 1.0], rtol=1e-15)
     n = math.hypot(0.5, 1.0)
     np.testing.assert_allclose(state2.w, -0.1 * np.array([0.5, 1.0]) / n, rtol=1e-14)
     assert sp.dual_norm(g) == 3.0 > hp.tau  # clipped
-    np.testing.assert_array_equal(info.g_clip, [0.0, 2.0])
-    assert sp.dual_norm(info.g_clip) == 2.0
+    np.testing.assert_array_equal(g_clip, [0.0, 2.0])
+    assert sp.dual_norm(g_clip) == 2.0
 
 
 _NEAR_TAU = (0, 1, 2)  # the row kinds of _clip_test_rows within 4 ulps of tau
@@ -168,9 +168,10 @@ def _clip_test_samples(rng, space, tau, shape):
                                    (17, 241)])
 def test_step_clip_decision_is_the_dual_norm_above_tau(q, tau, shape):
     # a row is clipped iff its dual norm, as dual_norm computes it for the
-    # row alone, is above tau, and the step feeds the momentum bit for bit
-    # the reference's clipped sample; the sample itself when no row clips.
-    # At tau = 1e-300 the squares of rows near tau underflow; at tau = 1e200
+    # row alone, is above tau, and both entries to the clip, the sample the
+    # step feeds the momentum and space.clip_dual, give bit for bit the
+    # reference's clipped sample; the sample itself when no row clips.  At
+    # tau = 1e-300 the squares of rows near tau underflow; at tau = 1e200
     # they overflow, and so does tau^2
     space = NormedSpace(dim=shape[-1], primal_exponent=q)
     hp = _hp(beta=0.5, tau=tau, lr=0.1, p=1.5)
@@ -183,12 +184,14 @@ def test_step_clip_decision_is_the_dual_norm_above_tau(q, tau, shape):
         with np.errstate(invalid="ignore" if np.isinf(sample).any() else "raise"):
             expect = [row * (tau / norm) if c else row
                       for row, norm, c in zip(rows, norms, clipped)]
-            _, info = clipped_momentum_step(init_state(np.zeros(shape)), sample, hp,
-                                            space, hp.lr)
-        assert (info.g_clip is sample) == (not clipped.any())
-        got = info.g_clip.reshape(-1, space.dim)
-        for i, (g, e) in enumerate(zip(got, expect)):
-            assert g.tobytes() == e.tobytes(), (i, norms[i], clipped[i])
+            entries = {"step": clipped_momentum_step(init_state(np.zeros(shape)),
+                                                     sample, hp, space, hp.lr)[1],
+                       "space": space.clip_dual(sample, tau)}
+        for entry, g_clip in entries.items():
+            assert (g_clip is sample) == (not clipped.any()), entry
+            got = g_clip.reshape(-1, space.dim)
+            for i, (g, e) in enumerate(zip(got, expect)):
+                assert g.tobytes() == e.tobytes(), (entry, i, norms[i], clipped[i])
 
 
 def test_extrapolation_point_cases():

@@ -1,6 +1,8 @@
 """Norm pair, duality map and clipping contracts."""
 
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -114,6 +116,28 @@ def test_clip_examples():
     np.testing.assert_allclose(sp15.clip_dual(v, 4.0), v * (4.0 / dn), rtol=1e-14)
     with pytest.raises(ValueError):
         sp.clip_dual(v, 0.0)
+
+
+@pytest.mark.parametrize("p, v, threshold", [
+    (2.0, [1e-320, 0.0], 2.0),
+    (2.0, [[1e-320, 0.0], [3.0, 4.0]], 2.0),
+    (1.5, [1e-310, 0.0], 1e10)], ids=["subnormal", "batch", "r3"])
+def test_clip_leaves_a_row_alone_without_dividing_by_its_norm(p, v, threshold):
+    # threshold / norm overflows for a row of subnormal norm; a row the clip
+    # leaves alone keeps its bits without that division, and with no
+    # RuntimeWarning.  An input with no row to clip is returned as it is
+    sp = NormedSpace(dim=2, primal_exponent=p)
+    v = np.array(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = sp.clip_dual(v, threshold)
+    clipped = np.atleast_1d(sp.dual_norm(v)) > threshold
+    assert (c is v) == (not clipped.any())
+    for row, c_row, cut in zip(np.atleast_2d(v), np.atleast_2d(c), clipped):
+        if cut:
+            assert sp.dual_norm(c_row) == pytest.approx(threshold, rel=1e-15)
+        else:
+            assert c_row.tobytes() == row.tobytes()
 
 
 def test_clip_invariants_sweep():
@@ -369,13 +393,16 @@ def test_fuzzed_single_vector_calls_keep_their_batch_row_bits(batch):
     with np.errstate(over="ignore", invalid="ignore"):
         for p in SUPPORTED_PRIMALS:
             sp = NormedSpace(dim=batch.shape[1], primal_exponent=p)
-            for fn in (sp.dual_norm, sp.primal_norm, sp.duality_map):
+            for name, fn in (("dual_norm", sp.dual_norm), ("primal_norm", sp.primal_norm),
+                             ("duality_map", sp.duality_map),
+                             ("clip_dual 1", partial(sp.clip_dual, threshold=1.0)),
+                             ("clip_dual 1e200", partial(sp.clip_dual, threshold=1e200))):
                 rows = fn(batch)
                 for row, v in zip(rows, batch):
                     got = fn(v)
-                    if fn != sp.duality_map:
-                        assert type(got) is float, (fn.__name__, v)
-                    assert same(got, row), (fn.__name__, p, v)
+                    if name.endswith("norm"):
+                        assert type(got) is float, (name, v)
+                    assert same(got, row), (name, p, v)
 
 
 def test_batched_shapes():
