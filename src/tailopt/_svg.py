@@ -12,21 +12,29 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / max(n - 1, 1)))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= n:
             step *= mult
             break
-    start = math.ceil(lo / step) * step
     out = []
-    t = start
-    while t <= hi + step * 1e-9:
+    t = math.ceil(lo / step) * step
+    for _ in range(n + 1):  # span / step <= n, so at most n + 1 ticks fit
+        if t > hi + step * 1e-9:
+            break
         out.append(round(t, 12))
         t += step
-    return out or [lo, hi]
+    return out
+
+
+def _extent(values) -> tuple[float, float]:
+    """The range of ``values``; one narrower than 1024 ulps of its magnitude
+    (a flat series among them) is widened upward to at least 1.0, so that
+    the ticks, at least a fortieth of the range apart, advance."""
+    lo, hi = float(values.min()), float(values.max())
+    least = 1024.0 * math.ulp(max(abs(lo), abs(hi)))
+    return (lo, hi) if hi - lo >= least else (lo, lo + max(least, 1.0))
 
 
 def line_chart(path: str, series, title: str, x_label: str, y_label: str,
@@ -46,12 +54,7 @@ def line_chart(path: str, series, title: str, x_label: str, y_label: str,
                          np.log10(y) if log_y else y, label))
     xs = np.concatenate([p[0] for p in prepared]) if prepared else np.array([0.0, 1.0])
     ys = np.concatenate([p[1] for p in prepared]) if prepared else np.array([0.0, 1.0])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi == x_lo:
-        x_hi += 1.0
-    if y_hi == y_lo:
-        y_hi += 1.0
+    (x_lo, x_hi), (y_lo, y_hi) = _extent(xs), _extent(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

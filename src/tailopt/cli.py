@@ -113,6 +113,8 @@ def _cmd_rate_sweep(args, cfg: RunConfig) -> int:
 def _cmd_burn_in(args, cfg: RunConfig) -> int:
     result = burn_in_compare(cfg)
     print(f"burn-in steps: {result.burn_in}")
+    if result.burn_in == 0:
+        print("warmup modes coincide (no step held): one run, reported for both")
     for mode in ("none", "hold"):
         s = result.mode_summary(mode)
         print(f"warmup={mode}: final F = {s['final_f_mean']:.6g} "

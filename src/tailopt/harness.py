@@ -251,8 +251,8 @@ class RunConfig:
 class Experiment:
     """A resolved configuration: problem, noise, space, schedule, certificate.
 
-    Frozen, and ``lr_seq`` is read-only: fault injection builds a modified
-    copy with ``dataclasses.replace``.
+    Frozen, and ``lr_seq`` is read-only: a warm-up hold or a fault injection
+    runs on a modified copy made with ``dataclasses.replace``.
     """
 
     config: RunConfig
@@ -345,7 +345,8 @@ def build_experiment(config: RunConfig, horizon: int | None = None) -> Experimen
         _require_finite(f"s, {horizon_field}, dim, eig_max, start_value",
                         "the objective bound eig_max (||start||_2 + lr T)^2",
                         config.eig_max * (reach * reach))
-    lr_seq = warmup_lr_schedule(hp, _burn_in(config, cert, T), config.warmup)
+    hold = _burn_in(config, cert, T) if config.warmup == "hold" else 0
+    lr_seq = warmup_lr_schedule(hp, hold)
     return _frozen(Experiment(config=config, problem=problem, noise=noise,
                               space=space, hp=hp, cert=cert, lr_seq=lr_seq))
 
@@ -739,21 +740,21 @@ class BurnInCompareResult:
 
 
 def burn_in_compare(config: RunConfig) -> BurnInCompareResult:
-    """Paired comparison of warmup modes over the config's seed batch; both
-    modes share noise streams seed for seed."""
-    final_f, min_grad, violations = {}, {}, {}
-    burn_in = 0
-    for mode in ("none", "hold"):
-        cfg = replace(config, warmup=mode)
-        exp = build_experiment(cfg)
-        burn_in = _burn_in(cfg, exp.cert, exp.hp.horizon)
+    """Paired comparison of warmup modes on one experiment's seed batch and
+    noise streams: "none" holds 0 steps and "hold" the effective burn-in.  Each
+    distinct hold steps once, so at burn-in 0 the modes are one run."""
+    exp = build_experiment(config)
+    burn_in = _burn_in(config, exp.cert, exp.hp.horizon)
+    holds = {"none": 0, "hold": burn_in}
+    stats = {}  # hold -> per-seed (final_f, min_grad, violations) arrays
+    for hold in dict.fromkeys(holds.values()):
+        held = _frozen(replace(exp, lr_seq=warmup_lr_schedule(exp.hp, hold)))
         # each seed reduced as it arrives; every step after the effective
         # burn-in is checked for descent, at any ||m_t||
-        per_seed = zip(*[(t.final_f, t.grad_norm.min(),
-                          np.sum(_descent_steps(t, burn_in + 1, 0.0)[2]))
-                         for t in _seed_batch(exp)])
-        final_f[mode], min_grad[mode], violations[mode] = map(np.array, per_seed)
-    return _frozen(BurnInCompareResult(
-        burn_in=burn_in, final_f=MappingProxyType(final_f),
-        min_grad=MappingProxyType(min_grad),
-        post_burn_in_violations=MappingProxyType(violations)))
+        stats[hold] = tuple(map(np.array, zip(*[
+            (t.final_f, t.grad_norm.min(), np.sum(_descent_steps(t, burn_in + 1, 0.0)[2]))
+            for t in _seed_batch(held)])))
+    final_f, min_grad, violations = (
+        MappingProxyType({mode: stats[hold][i] for mode, hold in holds.items()})
+        for i in range(3))
+    return _frozen(BurnInCompareResult(burn_in, final_f, min_grad, violations))

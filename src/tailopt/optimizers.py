@@ -228,16 +228,12 @@ def recommend_output(momentum_norms, burn_in: int) -> int:
     return start + int(np.argmin(norms[start - 1:]))
 
 
-def warmup_lr_schedule(hp: HyperParams, burn_in: int, mode: str) -> np.ndarray:
-    """Per-step learning rates: constant, or zero through ``burn_in`` steps.
+def warmup_lr_schedule(hp: HyperParams, hold: int) -> np.ndarray:
+    """Per-step learning rates: ``hp.lr``, zero through the first ``hold`` steps.
 
-    In "hold" mode the iterate is frozen while momentum keeps accumulating
-    clipped gradients, the analogue of running warm-up at learning rate 0.
+    A hold freezes the iterate while momentum keeps accumulating clipped
+    gradients, the analogue of warm-up at learning rate 0; hold 0 is none.
     """
     lrs = np.full(hp.horizon, hp.lr)
-    if mode == "none":
-        return lrs
-    if mode == "hold":
-        lrs[:burn_in] = 0.0
-        return lrs
-    raise ValueError(f"warmup mode must be 'none' or 'hold', got {mode!r}")
+    lrs[:hold] = 0.0
+    return lrs

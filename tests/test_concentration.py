@@ -303,3 +303,46 @@ def test_coverage_drivers_meet_levels_small():
     assert res.meets(0.9)
     res = conc.truncated_sum_coverage("banach", 2000, 100, 0.1, rng)
     assert res.meets(0.9)
+
+
+def _spec(**kw):
+    base = dict(weights=[0.5, 0.5], moment_bounds=[1.0, 1.0], threshold=2.0,
+                p_moment=1.5, delta=0.1)
+    base.update(kw)
+    return conc.WeightedStreamSpec(**base)
+
+
+def _normal(rng, n):
+    return rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: conc.s_sequence_batch(np.zeros((3, 4)), EUCLID4),
+                 "expected streams of shape", id="s-sequence-shape"),
+    pytest.param(lambda: _spec(moment_bounds=[1.0]), "must align", id="spec-align"),
+    pytest.param(lambda: _spec(moment_bounds=[1.0, 0.0]),
+                 "moment bounds must be positive", id="spec-moment-bounds"),
+    pytest.param(lambda: conc.truncated_sum_bound(_spec(), "lp"), "variant must be",
+                 id="truncated-sum-variant"),
+    pytest.param(lambda: conc.freedman_vector_coverage(
+        "lp", 10, 10, 0.1, np.random.default_rng(0)), "unknown variant",
+        id="vector-coverage-variant"),
+    pytest.param(lambda: conc.truncation_bias_variance_mc(
+        _normal, 0.0, 1.0, 10, np.random.default_rng(0)), "at least 1e5 trials",
+        id="truncation-trials"),
+    pytest.param(lambda: conc.truncation_bias_variance_mc(
+        _normal, 0.0, 0.0, 100_000, np.random.default_rng(0)),
+        "threshold must be positive", id="truncation-threshold"),
+    pytest.param(lambda: conc.power_mean_check([1.0, 2.0], 2.0, 1.0),
+                 "need 0 < p_low <= p_high", id="power-mean-order"),
+    pytest.param(lambda: conc.binomial_interval(5, 3), "invalid binomial counts",
+                 id="binomial-counts"),
+])
+def test_concentration_refusals_name_their_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_clipped_pareto_second_moment_below_the_scale():
+    # every radius is at least the scale, so a clip below it clips them all
+    assert conc.clipped_pareto_second_moment(1.8, 1.0, 0.5) == 0.25

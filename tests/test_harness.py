@@ -451,6 +451,30 @@ def test_burn_in_compare_counts_the_rule_after_the_burn_in():
     assert sum(res.post_burn_in_violations["none"]) > 0
 
 
+@pytest.mark.parametrize("warmup_steps, passes", [(None, 1), (40, 2)])
+def test_burn_in_compare_builds_once_and_steps_each_hold_once(
+        monkeypatch, warmup_steps, passes):
+    # one experiment, and one stepping pass of the 3-seed batch per distinct
+    # hold: at the certified burn-in 0 both modes hold 0 steps
+    cfg = small_config(seeds=3, warmup_steps=warmup_steps)
+    calls = {"build_experiment": 0, "_step_seeds": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harness, name, spy)
+    res = burn_in_compare(cfg)
+    assert res.burn_in == (warmup_steps or 0)
+    assert calls == {"build_experiment": 1, "_step_seeds": passes}
+    # each mode has the bits of its own experiment, built and run alone
+    for mode in ("none", "hold"):
+        trajs = list(run(replace(cfg, warmup=mode)))
+        assert res.final_f[mode].tolist() == [t.final_f for t in trajs]
+        assert res.min_grad[mode].tolist() == [t.grad_norm.min() for t in trajs]
+        assert res.post_burn_in_violations[mode].tolist() == [
+            np.sum(_descent_steps(t, res.burn_in + 1, 0.0)[2]) for t in trajs]
+
+
 def test_certificate_checks_follow_the_rule_at_any_certificate():
     # the certified window starts at max(burn-in, 1) and qualifies at the
     # certificate's threshold; move both so that steps qualify and violate
@@ -545,6 +569,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     code = cli.main(["run", "--T", "0"])
     assert code == 2
     assert "T" in capsys.readouterr().err
+
+
+def test_cli_run_without_out_prints_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--T", "50", "--dim", "3", "--seeds", "2", "--plots"]) == 0
+    out = capsys.readouterr().out
+    assert "seed 0:" in out and "seed 1:" in out and "artifacts in" not in out
+    assert os.listdir(tmp_path) == []
 
 
 # an argument that the test replaces with the path of a file that exists
@@ -922,11 +954,14 @@ def test_cli_rate_sweep(tmp_path, capsys):
 
 
 def test_cli_burn_in(capsys):
-    code = cli.main(["burn-in", "--T", "150", "--dim", "3", "--seeds", "2",
-                     "--tail-index", "1.6", "--warmup-steps", "20"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "warmup=none" in out and "warmup=hold" in out
+    for hold, coincide in (("20", False), ("0", True)):
+        code = cli.main(["burn-in", "--T", "150", "--dim", "3", "--seeds", "2",
+                         "--tail-index", "1.6", "--warmup-steps", hold])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "warmup=none" in out and "warmup=hold" in out
+        # at burn-in 0 the two modes are one run, and the output says so
+        assert (f"burn-in steps: {hold}\nwarmup modes coincide" in out) == coincide
 
 
 def test_records_immutable_after_run():

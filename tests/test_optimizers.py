@@ -1,6 +1,7 @@
 """Schedules, steps, certificates, output selection and warmup."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,14 +333,46 @@ def test_recommend_output():
 
 
 def test_warmup_schedules():
+    # warm-up is one number, the steps held at lr 0; no warm-up is hold 0
     hp = schedule(horizon=8, p_moment=2.0, grad_bound=1.0, delta=0.1)
-    np.testing.assert_array_equal(warmup_lr_schedule(hp, 0, "none"),
-                                  np.full(8, hp.lr))
-    np.testing.assert_array_equal(warmup_lr_schedule(hp, 0, "hold"),
-                                  warmup_lr_schedule(hp, 0, "none"))
-    lrs = warmup_lr_schedule(hp, 5, "hold")
+    np.testing.assert_array_equal(warmup_lr_schedule(hp, 0), np.full(8, hp.lr))
+    lrs = warmup_lr_schedule(hp, 5)
     np.testing.assert_array_equal(lrs, [0, 0, 0, 0, 0, hp.lr, hp.lr, hp.lr])
-    np.testing.assert_array_equal(warmup_lr_schedule(hp, 5, "none"),
-                                  np.full(8, hp.lr))
-    with pytest.raises(ValueError):
-        warmup_lr_schedule(hp, 5, "linear")
+    np.testing.assert_array_equal(warmup_lr_schedule(hp, 20), np.zeros(8))
+
+
+_HP = schedule(horizon=8, p_moment=2.0, grad_bound=1.0, delta=0.1)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: schedule(0, 2.0, 1.0, 0.1), "horizon must be at least 1",
+                 id="schedule-horizon"),
+    pytest.param(lambda: schedule(8, 2.0, 1.0, 0.1, lr_scale=0.0),
+                 "schedule constants must be positive", id="schedule-constants"),
+    pytest.param(lambda: schedule(8, 2.0, 1.0, 1.0), "delta must lie in",
+                 id="schedule-delta"),
+    pytest.param(lambda: schedule(8, 2.0, 0.0, 0.1),
+                 "gradient moment bound must be positive", id="schedule-grad-bound"),
+    pytest.param(lambda: replace(_HP, alpha=0.0, beta=1.0), "alpha must lie in",
+                 id="hyperparams-alpha"),
+    pytest.param(lambda: replace(_HP, beta=_HP.beta / 2), "beta must equal 1 - alpha",
+                 id="hyperparams-beta"),
+    pytest.param(lambda: replace(_HP, tau=2 * _HP.tau), "tau must equal",
+                 id="hyperparams-tau"),
+    pytest.param(lambda: schedule_exponents(1.5, "third"), "order must be",
+                 id="schedule-exponents-order"),
+    pytest.param(lambda: rate_exponent(1.5, "third"), "order must be",
+                 id="rate-exponent-order"),
+])
+def test_optimizer_refusals_name_their_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_burn_in_certificate_without_gradient_moment_has_no_burn_in():
+    # G = 0 (so tau = 0) leaves no noise to concentrate: the burn-in is 0
+    hp = replace(_HP, grad_bound=0.0, tau=0.0)
+    cert = burn_in_certificate(hp, lipschitz=1.0, hessian_lipschitz=1.0,
+                               smooth_constant=1.0)
+    assert cert.burn_in == 0
+    assert cert.error_scale == hp.lr_scale / hp.alpha_scale

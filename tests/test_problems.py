@@ -371,3 +371,27 @@ def test_batch_draw_columns_are_each_generators_own_draw(q, scale):
     assert batch[2].steps == alone[2].steps == n
     for rng, ref in zip(batch[:2] + batch[3:], alone[:2] + alone[3:]):
         assert rng.random() == ref.random()
+
+
+_QUAD = DiagonalQuadratic(eigenvalues=[1.0, 2.0], center=[0.0, 0.0], start=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: DiagonalQuadratic([1.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+                 "eigenvalues must be positive", id="quadratic-eigenvalues"),
+    pytest.param(lambda: DiagonalQuadratic([1.0, 2.0], [0.0], [1.0, 1.0]),
+                 "must share a shape", id="quadratic-shape"),
+    pytest.param(lambda: _QUAD.value(np.zeros(3)), "point has dim 3, problem has dim 2",
+                 id="quadratic-point-dim"),
+    pytest.param(lambda: CosineSum(amplitude=0.0, dim=2, start=np.zeros(2)),
+                 "amplitude must be positive", id="cosine-amplitude"),
+    pytest.param(lambda: CosineSum(amplitude=1.0, dim=2, start=np.zeros(3)),
+                 "start point has the wrong dimension", id="cosine-start"),
+    pytest.param(lambda: make_problem("rosenbrock", 2), "unknown problem kind",
+                 id="make-problem-kind"),
+    pytest.param(lambda: HeavyTailNoise(p_moment=1.5, tail_index=2.0, scale=-1.0),
+                 "scale must be nonnegative", id="noise-scale"),
+])
+def test_problem_refusals_name_their_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
